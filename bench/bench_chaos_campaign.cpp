@@ -3,7 +3,7 @@
 //   bench_chaos_campaign [--seeds=N] [--base-seed=S] [--jobs=N]
 //   bench_chaos_campaign --inject-bug [--base-seed=S]
 //
-// Default mode sweeps the full (scheme × fault profile × scheduler ×
+// Default mode sweeps the full (scheme × fault profile ×
 // serial-vs-sharded) grid with the invariant auditor and the progress
 // watchdog armed, once per seed. The whole campaign runs twice — -j1 and
 // -jN — and the two assembled RESULT-line transcripts must match byte for

@@ -19,10 +19,8 @@
 //
 //   o_active_slope_invariant — marginal *simulated events* per round at
 //       N=1024 equals N=16 exactly (idle connections schedule nothing);
-//   wheel_dead_pops_not_worse — under a retransmit-timer-heavy cell the
-//       timer wheel reaps at least as many cancelled timers in bulk
-//       (timer_purges) as it saves in front-of-queue zombie pops, so its
-//       dead_pops never exceed the 4-ary heap's on the same traffic.
+//   hotspot_1024_vs_16_ratio_ok — marginal events/s at 1024 configured
+//       ranks stays within 2x of the 16-rank rate.
 //
 // Results go to BENCH_conn_scaling.json; the committed baseline lives in
 // bench/baseline/.
@@ -45,7 +43,7 @@ struct CellResult {
   double wall_s = 0;            ///< whole world.run() wall time
   std::uint64_t events = 0;     ///< engine events executed
   std::uint64_t connections = 0;
-  sim::EnginePerfStats perf;    ///< summed over shards for sharded worlds
+  std::uint64_t dead_pops = 0;  ///< summed over shards for sharded worlds
 };
 
 CellResult run_cell(mpi::WorldConfig cfg, const mpi::WorkloadSpec& spec) {
@@ -58,26 +56,20 @@ CellResult run_cell(mpi::WorldConfig cfg, const mpi::WorkloadSpec& spec) {
   out.events = world.executed_events();
   for (int r = 0; r < world.config().num_ranks; ++r) {
     out.connections += world.device(r).endpoint_count();
-    const sim::EnginePerfStats& p = world.engine_for(r).perf_stats();
     if (world.config().engine_threads > 0 || r == 0) {
-      out.perf.scheduled += p.scheduled;
-      out.perf.executed += p.executed;
-      out.perf.cancelled_before_fire += p.cancelled_before_fire;
-      out.perf.dead_pops += p.dead_pops;
-      out.perf.timer_purges += p.timer_purges;
+      out.dead_pops += world.engine_for(r).perf_stats().dead_pops;
     }
   }
   return out;
 }
 
-mpi::WorldConfig scaling_config(int ranks, int threads, int scheduler) {
+mpi::WorldConfig scaling_config(int ranks, int threads) {
   mpi::WorldConfig cfg;
   cfg.run = cfg.run.quiet();  // never race per-world env export files
   cfg.num_ranks = ranks;
   cfg.flow.scheme = flowctl::Scheme::user_dynamic;
   cfg.flow.prepost = 16;
   cfg.engine_threads = threads;
-  if (scheduler >= 0) cfg.scheduler = static_cast<sim::SchedKind>(scheduler);
   return cfg;
 }
 
@@ -105,11 +97,9 @@ int main(int argc, char** argv) {
   // --rounds scales every cell's traffic; --threads > 0 runs the eagerly
   // wired allpairs shape under the sharded engine (the TSan CI step) and
   // skips the hotspot shape, whose on-demand wiring is serial-only.
-  // --scheduler picks the sim::SchedKind for the throughput cells.
   const int rounds =
       static_cast<int>(std::max<std::int64_t>(1, opts.get_int("rounds", 8)));
   const int threads = static_cast<int>(opts.get_int("threads", 0));
-  const int scheduler = static_cast<int>(opts.get_int("scheduler", -1));
 
   WallTimer wall;
   BenchJson json("conn_scaling");
@@ -120,26 +110,22 @@ int main(int argc, char** argv) {
 
   std::puts("# Connection-count scaling: events/s vs world size");
   util::Table table({"shape", "ranks", "conns", "events", "wall_ms",
-                     "mevents_per_s", "dead_pops", "timer_purges"});
+                     "mevents_per_s", "dead_pops"});
 
   // ---- allpairs: 16 -> 1024 live connections, all active ----------------
   for (const int ranks : {4, 8, 16, 32}) {
     const CellResult cell =
-        run_cell(scaling_config(ranks, threads, scheduler),
-                 allpairs_spec(rounds));
+        run_cell(scaling_config(ranks, threads), allpairs_spec(rounds));
     const double mev = static_cast<double>(cell.events) / cell.wall_s / 1e6;
     table.add("allpairs", ranks, static_cast<std::size_t>(cell.connections),
               static_cast<std::size_t>(cell.events), cell.wall_s * 1e3, mev,
-              static_cast<std::size_t>(cell.perf.dead_pops),
-              static_cast<std::size_t>(cell.perf.timer_purges));
+              static_cast<std::size_t>(cell.dead_pops));
     json.add_point({{"shape", 0},
                     {"ranks", static_cast<double>(ranks)},
                     {"connections", static_cast<double>(cell.connections)},
                     {"events", static_cast<double>(cell.events)},
                     {"mevents_per_s", mev},
-                    {"dead_pops", static_cast<double>(cell.perf.dead_pops)},
-                    {"timer_purges",
-                     static_cast<double>(cell.perf.timer_purges)}});
+                    {"dead_pops", static_cast<double>(cell.dead_pops)}});
   }
 
   // ---- hotspot: constant active set inside growing worlds ---------------
@@ -152,7 +138,7 @@ int main(int argc, char** argv) {
     // (the active set is 8 connections — each round is cheap).
     const int hot_rounds = 50 * rounds;
     for (const int ranks : {16, 64, 256, 1024}) {
-      mpi::WorldConfig cfg = scaling_config(ranks, 0, scheduler);
+      mpi::WorldConfig cfg = scaling_config(ranks, 0);
       cfg.on_demand_connections = true;
       const CellResult lo = run_cell(cfg, hotspot_spec(hot_rounds));
       const CellResult hi = run_cell(cfg, hotspot_spec(2 * hot_rounds));
@@ -170,16 +156,13 @@ int main(int argc, char** argv) {
       if (slope_events != slope16) slope_invariant = false;
       table.add("hotspot", ranks, static_cast<std::size_t>(hi.connections),
                 static_cast<std::size_t>(slope_events), slope_wall * 1e3, mev,
-                static_cast<std::size_t>(hi.perf.dead_pops),
-                static_cast<std::size_t>(hi.perf.timer_purges));
+                static_cast<std::size_t>(hi.dead_pops));
       json.add_point({{"shape", 1},
                       {"ranks", static_cast<double>(ranks)},
                       {"connections", static_cast<double>(hi.connections)},
                       {"events", static_cast<double>(slope_events)},
                       {"mevents_per_s", mev},
-                      {"dead_pops", static_cast<double>(hi.perf.dead_pops)},
-                      {"timer_purges",
-                       static_cast<double>(hi.perf.timer_purges)}});
+                      {"dead_pops", static_cast<double>(hi.dead_pops)}});
     }
     // Exact O(active) verdict: idle ranks contribute zero events per round
     // at every world size. The wall-clock form of the same claim: marginal
@@ -190,45 +173,6 @@ int main(int argc, char** argv) {
     std::printf("# o_active_slope_invariant=%d  hotspot mev/s 16=%.2f "
                 "1024=%.2f\n",
                 slope_invariant ? 1 : 0, mev16, mev1024);
-
-    // ---- timer-heavy cell: 4-ary heap vs timer wheel -------------------
-    // Arm the transport ACK timeout so every credited message schedules a
-    // retransmit timer that is almost always cancelled; the wheel should
-    // bulk-purge those tombstones during cascades (timer_purges) instead
-    // of reaping them one by one at the queue front (dead_pops).
-    sim::EnginePerfStats perf_by_kind[2];
-    for (int k = 0; k < 2; ++k) {
-      mpi::WorldConfig cfg = scaling_config(
-          64, 0,
-          static_cast<int>(k == 0 ? sim::SchedKind::heap4
-                                  : sim::SchedKind::wheel));
-      cfg.on_demand_connections = true;
-      cfg.fabric.transport_timeout = sim::microseconds(500);
-      perf_by_kind[k] =
-          run_cell(cfg, hotspot_spec(4 * rounds)).perf;
-    }
-    const sim::EnginePerfStats& heap_perf = perf_by_kind[0];
-    const sim::EnginePerfStats& wheel_perf = perf_by_kind[1];
-    json.add_meta("heap_dead_pops",
-                  static_cast<double>(heap_perf.dead_pops));
-    json.add_meta("wheel_dead_pops",
-                  static_cast<double>(wheel_perf.dead_pops));
-    json.add_meta("wheel_timer_purges",
-                  static_cast<double>(wheel_perf.timer_purges));
-    json.add_meta("wheel_dead_pops_not_worse",
-                  wheel_perf.dead_pops <= heap_perf.dead_pops ? 1 : 0);
-    json.add_meta(
-        "timer_accounting_ok",
-        wheel_perf.dead_pops + wheel_perf.timer_purges ==
-                wheel_perf.cancelled_before_fire &&
-                heap_perf.dead_pops == heap_perf.cancelled_before_fire
-            ? 1
-            : 0);
-    std::printf("# timer-heavy: heap dead_pops=%llu wheel dead_pops=%llu "
-                "wheel purges=%llu\n",
-                static_cast<unsigned long long>(heap_perf.dead_pops),
-                static_cast<unsigned long long>(wheel_perf.dead_pops),
-                static_cast<unsigned long long>(wheel_perf.timer_purges));
   }
 
   table.print(std::cout);

@@ -1,6 +1,6 @@
 // Deterministic chaos campaigns (DESIGN.md §15).
 //
-// A campaign is a grid of *cells*: (scheme × fault profile × scheduler ×
+// A campaign is a grid of *cells*: (scheme × fault profile ×
 // serial-vs-sharded engine), each one an independent seeded World run with
 // the invariant auditor and the progress watchdog armed. Cells execute on
 // the exp::SweepRunner, so the assembled RESULT lines are byte-identical
@@ -22,7 +22,6 @@
 #include "ib/config.hpp"
 #include "ib/fabric.hpp"
 #include "mpi/workload.hpp"
-#include "sim/scheduler.hpp"
 
 namespace mvflow::exp::chaos {
 
@@ -47,7 +46,6 @@ struct FaultProfile {
 struct CellSpec {
   flowctl::Scheme scheme = flowctl::Scheme::user_static;
   FaultProfile profile;
-  sim::SchedKind scheduler = sim::SchedKind::heap4;
   int engine_threads = 0;  ///< 0 = serial reference, > 0 = sharded.
   std::uint64_t seed = 1;
   int ranks = 3;
@@ -60,7 +58,7 @@ struct CellSpec {
   /// *only* fault source.
   std::vector<ib::ScriptedFault> script;
 
-  /// "scheme/profile/sched/engine/s<seed>" — stable cell identity.
+  /// "scheme/profile/engine/s<seed>" — stable cell identity.
   std::string label() const;
 };
 
@@ -92,10 +90,9 @@ CellResult run_cell(const CellSpec& spec, bool record_faults = false);
 /// serial-only reconnect regime (finite retries + auto_reconnect).
 std::vector<FaultProfile> default_profiles();
 
-/// Full default grid: 3 schemes × default_profiles × {heap4, calendar} ×
-/// {serial, sharded}, with serial_only profiles skipped on the sharded
-/// engine. Seeds are derived deterministically from `base_seed` and the
-/// cell's grid position.
+/// Full default grid: 3 schemes × default_profiles × {serial, sharded},
+/// with serial_only profiles skipped on the sharded engine. Seeds are
+/// derived deterministically from `base_seed` and the cell's grid position.
 std::vector<CellSpec> default_campaign(std::uint64_t base_seed);
 
 /// Execute cells on a SweepRunner with `jobs` workers; results in cell

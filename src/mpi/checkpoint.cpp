@@ -1,6 +1,7 @@
 #include "mpi/checkpoint.hpp"
 
 #include <algorithm>
+#include <string>
 #include <utility>
 
 #include "exp/runner.hpp"
@@ -41,7 +42,6 @@ void encode_config(serial::BufWriter& w, const WorldConfig& cfg,
   // the mode that captured. mvflow_ckpt --threads can override within a
   // mode (e.g. restore a t8 capture with t2).
   w.i32(cfg.engine_threads);
-  w.u8(static_cast<std::uint8_t>(cfg.scheduler));
 
   const flowctl::Config& f = cfg.flow;
   w.u8(static_cast<std::uint8_t>(f.scheme));
@@ -110,6 +110,20 @@ void encode_config(serial::BufWriter& w, const WorldConfig& cfg,
   w.i64(d.reconnect_delay.count());
 }
 
+/// Decode a one-byte enum whose enumerators run 0..`last`. The CRC only
+/// proves the bytes are the ones written; a byte no enumerator names must
+/// still be refused before it reaches a switch or a table index.
+template <typename E>
+E read_enum(serial::BufReader& r, const char* what, E last) {
+  const std::uint8_t v = r.u8(what);
+  if (v > static_cast<std::uint8_t>(last)) {
+    throw serial::SnapshotError(std::string("snapshot field ") + what +
+                                " holds " + std::to_string(v) +
+                                ", which names no enumerator");
+  }
+  return static_cast<E>(v);
+}
+
 void decode_config(serial::BufReader& r, WorldConfig& cfg, bool& trace_armed,
                    std::uint64_t& trace_capacity) {
   cfg.num_ranks = r.i32("num_ranks");
@@ -118,10 +132,9 @@ void decode_config(serial::BufReader& r, WorldConfig& cfg, bool& trace_armed,
   trace_armed = r.b("trace_armed");
   trace_capacity = r.u64("trace_capacity");
   cfg.engine_threads = r.i32("engine_threads");
-  cfg.scheduler = static_cast<sim::SchedKind>(r.u8("scheduler"));
 
   flowctl::Config& f = cfg.flow;
-  f.scheme = static_cast<flowctl::Scheme>(r.u8("flow.scheme"));
+  f.scheme = read_enum(r, "flow.scheme", flowctl::Scheme::user_dynamic);
   f.prepost = r.i32("flow.prepost");
   f.ecm_threshold = r.i32("flow.ecm_threshold");
   f.growth_step = r.i32("flow.growth_step");

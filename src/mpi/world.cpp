@@ -72,7 +72,7 @@ World::World(WorldConfig cfg) : cfg_(cfg) {
                   "injection: recovery mutates both shards' state");
     sharded_ = std::make_unique<sim::ShardedEngine>(
         static_cast<std::size_t>(cfg_.num_ranks),
-        static_cast<std::size_t>(cfg_.engine_threads), cfg_.scheduler);
+        static_cast<std::size_t>(cfg_.engine_threads));
     fabric_ = std::make_unique<ib::Fabric>(*sharded_, cfg_.fabric,
                                            cfg_.num_ranks);
     // Rank processes and shard windows record concurrently, so each shard
@@ -105,7 +105,7 @@ World::World(WorldConfig cfg) : cfg_(cfg) {
           obs::bind_profiler(shard_prev_profilers_[s]);
         });
   } else {
-    serial_ = std::make_unique<sim::Engine>(cfg_.scheduler);
+    serial_ = std::make_unique<sim::Engine>();
     fabric_ = std::make_unique<ib::Fabric>(*serial_, cfg_.fabric,
                                            cfg_.num_ranks);
   }

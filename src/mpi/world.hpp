@@ -47,10 +47,6 @@ struct WorldConfig {
   /// OS thread runs a shard), and the serial engine stays the reference.
   /// Defaults to the one-time $MVFLOW_ENGINE_THREADS snapshot.
   int engine_threads = sim::default_engine_threads();
-  /// Pending-set scheduler for every engine/shard; defaulted from the
-  /// one-time $MVFLOW_SCHEDULER snapshot. Never changes results, only
-  /// wall-clock (scheduler.hpp).
-  sim::SchedKind scheduler = sim::default_sched_kind();
 
   /// Upper bound on simulated time; exceeding it is reported as a deadlock
   /// (protects against infinite hardware retry loops in the modeled system).
@@ -178,7 +174,7 @@ class World {
   /// audit, and kill hooks through this.
   void set_event_watchpoint(std::uint64_t executed, std::function<void()> fn);
   /// Engine section of a snapshot: shard count, then each engine's
-  /// scheduler-agnostic dispatch state. Serial worlds write count 1 — a
+  /// canonical dispatch state. Serial worlds write count 1 — a
   /// serial snapshot and a sharded one are deliberately *different* bytes,
   /// because their event interleavings genuinely differ; within sharded
   /// worlds the bytes are identical at every worker count.

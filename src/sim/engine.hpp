@@ -10,10 +10,8 @@
 // and handles are {slot, generation} pairs with O(1) lazy cancellation and
 // no reference counting. See DESIGN.md §10 for the invariants.
 //
-// The pending set itself sits behind the scheduler seam (scheduler.hpp):
-// a 4-ary heap or a calendar queue, chosen per engine and defaulted from
-// $MVFLOW_SCHEDULER. Both hand out the identical strict (t, seq) order, so
-// the choice is invisible to results — only to wall-clock.
+// The pending set is one inline 4-ary heap (scheduler.hpp), held by value
+// and called directly; DESIGN.md §14 says why there is no other.
 #pragma once
 
 #include <cstdint>
@@ -48,8 +46,6 @@ struct EnginePerfStats {
   std::uint64_t pool_reuses = 0;   ///< event nodes recycled from the freelist
   std::uint64_t pool_allocs = 0;   ///< event nodes that grew the slab
   std::uint64_t dead_pops = 0;     ///< lazily-cancelled entries reaped at pop
-  std::uint64_t timer_purges = 0;  ///< tombstones bulk-purged by the wheel
-  std::size_t max_batch = 0;       ///< largest same-timestamp dispatch run
   double pool_hit_rate() const {
     const double total =
         static_cast<double>(pool_reuses) + static_cast<double>(pool_allocs);
@@ -67,8 +63,6 @@ struct EnginePerfStats {
     f("pool_allocs", static_cast<double>(pool_allocs));
     f("pool_hit_rate", pool_hit_rate());
     f("dead_pops", static_cast<double>(dead_pops));
-    f("timer_purges", static_cast<double>(timer_purges));
-    f("max_batch", static_cast<double>(max_batch));
   }
 };
 
@@ -102,14 +96,13 @@ class EventHandle {
 
 class Engine {
  public:
-  /// `kind` picks the pending-set scheduler; the default is the one-time
-  /// $MVFLOW_SCHEDULER snapshot (heap4 when unset).
-  explicit Engine(SchedKind kind = default_sched_kind());
+  Engine();
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
   ~Engine();
 
-  SchedKind sched_kind() const noexcept { return pq_.kind(); }
+  /// Provenance label for run reports; always heap4.
+  SchedKind sched_kind() const noexcept { return SchedKind::heap4; }
 
   /// True while `e` is a constructed, not-yet-destroyed Engine. Backed by a
   /// process-wide registry sharded by engine address (mutex per shard), so
@@ -204,12 +197,10 @@ class Engine {
 
   /// Serialize the engine's dispatch state — clock, sequence counter, the
   /// live pending set in canonical (t, seq) order, per-slot generations,
-  /// the freelist chain, and the scheduler-invariant perf counters — for
+  /// the freelist chain, and the layout-invariant perf counters — for
   /// the snapshot's bit-identical restore audit. The encoding is
-  /// deliberately scheduler-agnostic: internal layout (heap array order,
-  /// calendar buckets, unreaped zombies) never leaks into the bytes, so a
-  /// snapshot taken under one scheduler audits cleanly against a replay
-  /// under another. Event *callbacks* are not serialized (closures are
+  /// canonical: internal layout (heap array order, unreaped zombies) never
+  /// leaks into the bytes. Event *callbacks* are not serialized (closures are
   /// reconstructed by deterministic replay); this captures every byte of
   /// state that orders them.
   void serialize_state(util::serial::BufWriter& w) const;
@@ -284,7 +275,7 @@ class Engine {
   /// Reap zombies at the front until the minimum entry is live; copies it
   /// to `out` (still queued) and returns true, or false when the queue
   /// drains. Cancellation is lazy — cancel() releases the slot (O(1)) and
-  /// leaves the scheduler entry behind as a zombie whose stamped
+  /// leaves the heap entry behind as a zombie whose stamped
   /// generation no longer matches; reaping it here counts a dead_pop.
   /// Dispatch order of live events is untouched — a cancelled event fires
   /// in neither scheme.
@@ -294,27 +285,15 @@ class Engine {
   void fire_watchpoints();
   void recompute_next_watch() noexcept;
 
-  /// PurgeProbe installed on the timer wheel (and any future
-  /// tombstone-aware scheduler): answers "is this (slot, gen) dead?" and,
-  /// when it is, does the same accounting peek_live's reap would have done
-  /// — minus the dead_pop, which by definition never happens now. Keeping
-  /// `pending_events()` = pq_.size() - zombies_ consistent is why the
-  /// scheduler cannot simply drop entries on its own.
-  static bool purge_probe(void* ctx, std::uint32_t slot,
-                          std::uint32_t gen) noexcept;
-
   std::vector<std::unique_ptr<Node[]>> chunks_;  // freelist-recycled slab
   std::uint32_t slab_size_ = 0;   // slots handed out so far (all chunks)
-  PendingQueue pq_;               // pending + zombie events, (t, seq) order
+  FourAryHeap pq_;                // pending + zombie events, (t, seq) order
   std::uint32_t free_head_ = kNone;   // freelist of released slots
   std::size_t zombies_ = 0;           // cancelled entries not yet reaped
   TimePoint now_{0};
   std::uint64_t next_seq_ = 0;
   std::uint64_t cause_ = 0;  ///< current causal token (see cause())
   EnginePerfStats perf_;
-  /// Same-timestamp dispatch-run tracking for perf_.max_batch.
-  TimePoint last_fired_{Duration::min()};
-  std::size_t cur_batch_ = 0;
   bool stopped_ = false;
   bool running_ = false;
   std::vector<Process*> processes_;
@@ -362,16 +341,7 @@ inline void Engine::fire_entry(const SchedEntry& top) {
   Node& n = node(top.slot);
   util::check(top.t >= now_, "event queue went backwards");
   now_ = top.t;
-  // Same-timestamp batch accounting: dispatch runs at one t are the unit
-  // the calendar queue serves O(1) from a single bucket.
-  if (top.t == last_fired_) {
-    ++cur_batch_;
-  } else {
-    last_fired_ = top.t;
-    cur_batch_ = 1;
-  }
-  if (cur_batch_ > perf_.max_batch) perf_.max_batch = cur_batch_;
-  pq_.pop_min();  // peek_live just surfaced `top`; the pop is O(1)-cached
+  pq_.pop_min();  // peek_live just surfaced `top`
   // The callback runs in place — its chunk address is stable even if it
   // schedules events that grow the slab. The generation is bumped first so
   // the event's own handle already reads fired (cancelling yourself is a

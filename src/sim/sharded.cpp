@@ -22,14 +22,13 @@ int default_engine_threads() noexcept {
   return threads;
 }
 
-ShardedEngine::ShardedEngine(std::size_t shards, std::size_t workers,
-                             SchedKind kind)
+ShardedEngine::ShardedEngine(std::size_t shards, std::size_t workers)
     : outboxes_(shards), workers_(std::max<std::size_t>(
                              1, std::min(workers, shards))) {
   util::require(shards > 0, "sharded engine needs at least one shard");
   engines_.reserve(shards);
   for (std::size_t s = 0; s < shards; ++s) {
-    engines_.push_back(std::make_unique<Engine>(kind));
+    engines_.push_back(std::make_unique<Engine>());
   }
   if (workers_ > 1) {
     pool_.reserve(workers_);
@@ -67,7 +66,6 @@ EnginePerfStats ShardedEngine::aggregate_perf() const noexcept {
     agg.pool_allocs += p.pool_allocs;
     agg.dead_pops += p.dead_pops;
     agg.peak_heap_depth = std::max(agg.peak_heap_depth, p.peak_heap_depth);
-    agg.max_batch = std::max(agg.max_batch, p.max_batch);
   }
   return agg;
 }

@@ -37,8 +37,8 @@ namespace mvflow::sim {
 
 /// Process-wide default engine parallelism: one-time $MVFLOW_ENGINE_THREADS
 /// snapshot. 0 (the serial golden-reference engine) when unset, unparseable,
-/// or negative — like $MVFLOW_SCHEDULER, a typo'd value must not silently
-/// change how a sweep runs, so the snapshot is taken exactly once.
+/// or negative — a typo'd value must not silently change how a sweep
+/// runs, so the snapshot is taken exactly once.
 int default_engine_threads() noexcept;
 
 /// Coordinator self-observation: how the window protocol behaved. Exposed
@@ -63,11 +63,10 @@ class ShardedEngine {
   static constexpr std::size_t kPostInlineBytes = 128;
   using PostFn = InplaceFunction<void(), kPostInlineBytes>;
 
-  /// `shards` engines (each with its own `kind` scheduler), executed by
-  /// min(workers, shards) persistent worker threads; workers == 1 runs
-  /// every shard inline on the coordinator thread through the exact same
-  /// window protocol.
-  ShardedEngine(std::size_t shards, std::size_t workers, SchedKind kind);
+  /// `shards` engines, executed by min(workers, shards) persistent worker
+  /// threads; workers == 1 runs every shard inline on the coordinator
+  /// thread through the exact same window protocol.
+  ShardedEngine(std::size_t shards, std::size_t workers);
   ShardedEngine(const ShardedEngine&) = delete;
   ShardedEngine& operator=(const ShardedEngine&) = delete;
   ~ShardedEngine();

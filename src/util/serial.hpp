@@ -157,10 +157,13 @@ class BufReader {
 // ---------------------------------------------------------------------------
 
 inline constexpr char kMagic[8] = {'M', 'V', 'F', 'L', 'O', 'W', 'C', 'K'};
-// v2: engine section switched to the canonical scheduler-agnostic encoding
+// v2: engine section switched to the canonical layout-free encoding
 // (sorted live pending set, no zombie/layout leakage) and the config
 // section gained the engine-mode fields (threads, scheduler).
-inline constexpr std::uint32_t kVersion = 2;
+// v3: the config section dropped the scheduler byte (one pending set), and
+// the metrics section lost the two engine counters only the deleted
+// schedulers used.
+inline constexpr std::uint32_t kVersion = 3;
 inline constexpr std::size_t kHeaderBytes = 8 + 4 + 4 + 8 + 4;
 
 struct Section {

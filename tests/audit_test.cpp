@@ -47,33 +47,26 @@ std::uint64_t fnv1a(std::string_view s) {
 constexpr std::uint64_t kFig2GoldenHash = 9228963969060808259ull;
 constexpr std::uint64_t kFig3GoldenHash = 7566288777037796131ull;
 
-constexpr int kHeap4 = static_cast<int>(sim::SchedKind::heap4);
-constexpr int kCalendar = static_cast<int>(sim::SchedKind::calendar);
-
 }  // namespace
 
 // ---- 1. differential: audit-on is bit-identical to audit-off ----------
 
 TEST(AuditDifferential, Fig2GoldenWithAuditorArmed) {
-  const bench::EngineMode serial{
-      .engine_threads = 0, .scheduler = kHeap4, .audit = 1};
+  const bench::EngineMode serial{.engine_threads = 0, .audit = 1};
   EXPECT_EQ(fnv1a(bench::build_fig2_table(200, nullptr, 1, serial).to_string()),
             kFig2GoldenHash);
-  const bench::EngineMode sharded{
-      .engine_threads = 2, .scheduler = kCalendar, .audit = 1};
+  const bench::EngineMode sharded{.engine_threads = 2, .audit = 1};
   EXPECT_EQ(
       fnv1a(bench::build_fig2_table(200, nullptr, 1, sharded).to_string()),
       kFig2GoldenHash);
 }
 
 TEST(AuditDifferential, Fig3GoldenWithAuditorArmed) {
-  const bench::EngineMode serial{
-      .engine_threads = 0, .scheduler = kCalendar, .audit = 1};
+  const bench::EngineMode serial{.engine_threads = 0, .audit = 1};
   EXPECT_EQ(fnv1a(bench::build_bw_table(4, 100, true, nullptr, 1, serial)
                       .to_string()),
             kFig3GoldenHash);
-  const bench::EngineMode sharded{
-      .engine_threads = 2, .scheduler = kHeap4, .audit = 1};
+  const bench::EngineMode sharded{.engine_threads = 2, .audit = 1};
   EXPECT_EQ(fnv1a(bench::build_bw_table(4, 100, true, nullptr, 4, sharded)
                       .to_string()),
             kFig3GoldenHash);
@@ -283,8 +276,8 @@ TEST(Watchdog, DiagnosesSilentStallSharded) {
 // ---- 4. chaos campaign + minimization ----------------------------------
 
 TEST(ChaosCampaign, SmallGridZeroViolationsAndRunnerIdentity) {
-  // A trimmed grid (loss + corrupt profiles, both engines, both schedulers,
-  // two schemes) — the full sweep is the bench binary's job.
+  // A trimmed grid (loss + corrupt profiles, both engines, two schemes) —
+  // the full sweep is the bench binary's job.
   std::vector<exp::chaos::CellSpec> cells;
   const auto profiles = exp::chaos::default_profiles();
   for (const auto scheme :
@@ -294,8 +287,6 @@ TEST(ChaosCampaign, SmallGridZeroViolationsAndRunnerIdentity) {
         exp::chaos::CellSpec c;
         c.scheme = scheme;
         c.profile = profiles[p];
-        c.scheduler =
-            threads == 0 ? sim::SchedKind::heap4 : sim::SchedKind::calendar;
         c.engine_threads = threads;
         c.seed = 40 + p;
         c.workload.name = "allpairs";

@@ -27,8 +27,15 @@ using namespace mvflow;
 namespace ckpt = mpi::ckpt;
 using util::serial::SnapshotError;
 
+// ctest runs each test as its own process, several at once; prefixing the
+// running test's name keeps two tests from racing on one file.
 std::string tmp_path(const std::string& leaf) {
-  return ::testing::TempDir() + "mvflow_ckpt_test_" + leaf;
+  const ::testing::TestInfo* info =
+      ::testing::UnitTest::GetInstance()->current_test_info();
+  std::string owner = info ? std::string(info->test_suite_name()) + "." +
+                                 info->name() + "_"
+                           : std::string();
+  return ::testing::TempDir() + "mvflow_ckpt_test_" + owner + leaf;
 }
 
 mpi::WorkloadSpec pingpong_spec(std::int64_t iters = 120) {
@@ -165,6 +172,29 @@ TEST_F(CheckpointCorruption, BadMagicRejected) {
   std::vector<std::byte> wrong = blob_;
   wrong[0] = std::byte{'X'};
   expect_rejected("magic.ck", wrong, "magic");
+}
+
+// A CRC-valid snapshot can still carry an enum byte no enumerator names;
+// decode must refuse it by field name instead of casting it into the
+// config. The config section is re-framed after the patch, so the CRC
+// matches and only the range check stands between the byte and the world.
+TEST_F(CheckpointCorruption, OutOfRangeSchemeRejected) {
+  std::vector<util::serial::Section> sections =
+      util::serial::parse_sections(blob_);
+  util::serial::Section* cfg = nullptr;
+  for (util::serial::Section& s : sections) {
+    if (s.tag == ckpt::kSecConfig) cfg = &s;
+  }
+  ASSERT_NE(cfg, nullptr);
+  // Config layout: num_ranks i32, on_demand b, max_sim_time i64,
+  // trace_armed b, trace_capacity u64, engine_threads i32, then the scheme.
+  constexpr std::size_t kSchemeOffset = 4 + 1 + 8 + 1 + 8 + 4;
+  ASSERT_EQ(cfg->bytes.at(kSchemeOffset),
+            static_cast<std::byte>(flowctl::Scheme::user_dynamic))
+      << "config layout moved; update kSchemeOffset";
+  cfg->bytes[kSchemeOffset] = std::byte{3};
+  expect_rejected("scheme.ck", util::serial::frame_sections(sections),
+                  "flow.scheme");
 }
 
 TEST_F(CheckpointCorruption, MissingFileRejected) {
@@ -413,17 +443,15 @@ TEST(CheckpointEnv, WorkloadRegistry) {
 //
 // Parallel worlds checkpoint at window barriers — the only instants where
 // every shard is quiescent and cross-shard state is fully applied. The
-// snapshot carries the engine mode (engine_threads / scheduler travel in
-// the config section), the engine section holds one sub-state per shard,
+// snapshot carries the engine mode (engine_threads travels in the config
+// section), the engine section holds one sub-state per shard,
 // and — the worker-count-invariance property — a snapshot captured under
 // one worker count must restore bit-identically under any other, because
 // the worker count never influences the event order.
 
-mpi::WorldConfig sharded_small_world(int threads,
-                                     int scheduler = -1) {
+mpi::WorldConfig sharded_small_world(int threads) {
   mpi::WorldConfig cfg = small_world(/*ranks=*/4);
   cfg.engine_threads = threads;
-  if (scheduler >= 0) cfg.scheduler = static_cast<sim::SchedKind>(scheduler);
   return cfg;
 }
 
@@ -470,21 +498,6 @@ TEST(CheckpointSharded, RestoreAtDifferentWorkerCountIsBitIdentical) {
     const ckpt::RunResult restored = ckpt::restore_run(snap);
     expect_identical(restored, reference);
   }
-}
-
-TEST(CheckpointSharded, SchedulerAgnosticAcrossRestore) {
-  // Snapshot under heap4, audit the replay under the calendar queue: the
-  // engine encoding is scheduler-agnostic by design, so this must pass.
-  const std::string path = write_checkpoint(
-      sharded_small_world(2, static_cast<int>(sim::SchedKind::heap4)),
-      allpairs_spec(), 250, "sharded_sched.ck");
-  ckpt::WorldSnapshot snap = ckpt::read_snapshot(path);
-  snap.config.scheduler = sim::SchedKind::calendar;
-  const ckpt::RunResult restored = ckpt::restore_run(snap);
-  const ckpt::RunResult reference = ckpt::run_reference(
-      sharded_small_world(2, static_cast<int>(sim::SchedKind::calendar)),
-      allpairs_spec());
-  expect_identical(restored, reference);
 }
 
 TEST(CheckpointSharded, ChurnKillRestoreResumes) {

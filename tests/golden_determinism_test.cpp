@@ -15,7 +15,6 @@
 
 #include "bw_figure.hpp"
 #include "fig_latency.hpp"
-#include "sim/scheduler.hpp"
 
 namespace {
 
@@ -87,19 +86,13 @@ TEST(GoldenDeterminism, Fig3TableBitIdenticalAtJobs8) {
 
 // ---- engine configurations (DESIGN.md §14) ----------------------------
 //
-// The scheduler seam and the sharded engine must also reproduce the serial
-// golden hashes. The calendar queue pops the identical (t, seq) order, so
-// it can never move a byte; the sharded engine agrees with the serial
-// reference on these 2-rank worlds because every switch downlink has a
-// single source shard — the barrier drain order coincides with the serial
-// transmit order. Every (engine_threads, scheduler) combination below must
+// The sharded engine must also reproduce the serial golden hashes. It
+// agrees with the serial reference on these 2-rank worlds because every
+// switch downlink has a single source shard — the barrier drain order
+// coincides with the serial transmit order. Every worker count below must
 // therefore produce the exact same tables the seed engine produced.
 
 namespace {
-constexpr int kHeap4 = static_cast<int>(mvflow::sim::SchedKind::heap4);
-constexpr int kCalendar = static_cast<int>(mvflow::sim::SchedKind::calendar);
-constexpr int kWheel = static_cast<int>(mvflow::sim::SchedKind::wheel);
-
 std::uint64_t fig2_hash(mvflow::bench::EngineMode mode) {
   return fnv1a(
       mvflow::bench::build_fig2_table(/*iters=*/200, nullptr, /*jobs=*/1, mode)
@@ -114,42 +107,16 @@ std::uint64_t fig3_hash(mvflow::bench::EngineMode mode) {
 }
 }  // namespace
 
-TEST(GoldenDeterminism, Fig2CalendarSchedulerBitIdentical) {
-  EXPECT_EQ(fig2_hash({.engine_threads = 0, .scheduler = kCalendar}),
-            kFig2GoldenHash);
-}
-
-TEST(GoldenDeterminism, Fig3CalendarSchedulerBitIdentical) {
-  EXPECT_EQ(fig3_hash({.engine_threads = 0, .scheduler = kCalendar}),
-            kFig3GoldenHash);
-}
-
-TEST(GoldenDeterminism, Fig2TimerWheelSchedulerBitIdentical) {
-  EXPECT_EQ(fig2_hash({.engine_threads = 0, .scheduler = kWheel}),
-            kFig2GoldenHash);
-}
-
-TEST(GoldenDeterminism, Fig3TimerWheelSchedulerBitIdentical) {
-  EXPECT_EQ(fig3_hash({.engine_threads = 0, .scheduler = kWheel}),
-            kFig3GoldenHash);
-}
-
 TEST(GoldenDeterminism, Fig2ShardedEngineBitIdentical) {
-  EXPECT_EQ(fig2_hash({.engine_threads = 1, .scheduler = kHeap4}),
-            kFig2GoldenHash);
-  EXPECT_EQ(fig2_hash({.engine_threads = 2, .scheduler = kHeap4}),
-            kFig2GoldenHash);
-  EXPECT_EQ(fig2_hash({.engine_threads = 8, .scheduler = kCalendar}),
-            kFig2GoldenHash);
-  EXPECT_EQ(fig2_hash({.engine_threads = 4, .scheduler = kWheel}),
-            kFig2GoldenHash);
+  for (const int threads : {1, 2, 4, 8}) {
+    EXPECT_EQ(fig2_hash({.engine_threads = threads}), kFig2GoldenHash)
+        << "t" << threads;
+  }
 }
 
 TEST(GoldenDeterminism, Fig3ShardedEngineBitIdentical) {
-  EXPECT_EQ(fig3_hash({.engine_threads = 2, .scheduler = kHeap4}),
-            kFig3GoldenHash);
-  EXPECT_EQ(fig3_hash({.engine_threads = 8, .scheduler = kCalendar}),
-            kFig3GoldenHash);
-  EXPECT_EQ(fig3_hash({.engine_threads = 4, .scheduler = kWheel}),
-            kFig3GoldenHash);
+  for (const int threads : {1, 2, 4, 8}) {
+    EXPECT_EQ(fig3_hash({.engine_threads = threads}), kFig3GoldenHash)
+        << "t" << threads;
+  }
 }

@@ -1,8 +1,7 @@
 // Conservative parallel DES coverage (DESIGN.md §14): the ShardedEngine
 // window protocol at the engine level, and the tentpole determinism claim
 // at the world level — a sharded world's results are bit-identical at every
-// worker count (t1 == t2 == t4 == t8), under either scheduler, because the
-// shard map is fixed by world shape and the barrier drain order is a pure
+// worker count (t1 == t2 == t4 == t8), because the shard map is fixed by world shape and the barrier drain order is a pure
 // function of window content. The serial engine stays the golden reference;
 // its results are compared where the topology makes the two interleavings
 // provably coincide (single-source downlinks).
@@ -27,12 +26,12 @@ using namespace mvflow;
 // ---- ShardedEngine: window protocol ----------------------------------
 
 TEST(ShardedEngine, RequiresPositiveLookahead) {
-  sim::ShardedEngine se(2, 1, sim::SchedKind::heap4);
+  sim::ShardedEngine se(2, 1);
   EXPECT_THROW(se.run_until(sim::TimePoint(1000)), std::invalid_argument);
 }
 
 TEST(ShardedEngine, ShardLocalEventsRunAndClocksAlign) {
-  sim::ShardedEngine se(2, 1, sim::SchedKind::heap4);
+  sim::ShardedEngine se(2, 1);
   se.set_lookahead(sim::Duration(100));
   int fired = 0;
   se.shard(0).schedule_at(sim::TimePoint(10), [&fired] { ++fired; });
@@ -46,7 +45,7 @@ TEST(ShardedEngine, ShardLocalEventsRunAndClocksAlign) {
 }
 
 TEST(ShardedEngine, CrossPostsDrainInCanonicalKeyOrder) {
-  sim::ShardedEngine se(2, 1, sim::SchedKind::heap4);
+  sim::ShardedEngine se(2, 1);
   se.set_lookahead(sim::Duration(100));
   std::vector<int> order;
   // Shard 1's post carries the smaller key: the barrier drain must apply it
@@ -66,7 +65,7 @@ TEST(ShardedEngine, CrossPostsDrainInCanonicalKeyOrder) {
 }
 
 TEST(ShardedEngine, WatchpointFiresAtFirstBarrierReachingCount) {
-  sim::ShardedEngine se(2, 1, sim::SchedKind::heap4);
+  sim::ShardedEngine se(2, 1);
   se.set_lookahead(sim::Duration(10));
   // A chain on each shard, far enough apart in time that windows stay small.
   for (std::size_t s = 0; s < 2; ++s) {
@@ -82,7 +81,7 @@ TEST(ShardedEngine, WatchpointFiresAtFirstBarrierReachingCount) {
 }
 
 TEST(ShardedEngine, RequestStopExitsAtNextBarrier) {
-  sim::ShardedEngine se(2, 1, sim::SchedKind::heap4);
+  sim::ShardedEngine se(2, 1);
   se.set_lookahead(sim::Duration(10));
   int fired = 0;
   se.shard(0).schedule_at(sim::TimePoint(10), [&] {
@@ -96,7 +95,7 @@ TEST(ShardedEngine, RequestStopExitsAtNextBarrier) {
 }
 
 TEST(ShardedEngine, ShardExceptionRethrownAtBarrier) {
-  sim::ShardedEngine se(2, 2, sim::SchedKind::heap4);
+  sim::ShardedEngine se(2, 2);
   se.set_lookahead(sim::Duration(10));
   se.shard(1).schedule_at(sim::TimePoint(10),
                           [] { throw std::runtime_error("boom"); });
@@ -108,7 +107,7 @@ TEST(ShardedEngine, ShardExceptionRethrownAtBarrier) {
 TEST(ShardedEngine, WorkerCountInvariantShardJournals) {
   const auto run_with_workers = [](std::size_t workers) {
     constexpr std::size_t kShards = 4;
-    sim::ShardedEngine se(kShards, workers, sim::SchedKind::heap4);
+    sim::ShardedEngine se(kShards, workers);
     se.set_lookahead(sim::Duration(50));
     std::vector<std::vector<std::int64_t>> journal(kShards);
     for (std::size_t s = 0; s < kShards; ++s) {
@@ -145,13 +144,11 @@ TEST(ShardedEngine, WorkerCountInvariantShardJournals) {
 
 // ---- sharded World: the tentpole determinism claim --------------------
 
-mpi::WorldConfig sharded_world(int ranks, int threads,
-                               sim::SchedKind kind = sim::SchedKind::heap4) {
+mpi::WorldConfig sharded_world(int ranks, int threads) {
   mpi::WorldConfig cfg;
   cfg.run = exp::RunConfig{};  // tests never honour ambient env exports
   cfg.num_ranks = ranks;
   cfg.engine_threads = threads;
-  cfg.scheduler = kind;
   cfg.flow.scheme = flowctl::Scheme::user_dynamic;
   cfg.flow.prepost = 6;  // small pool => credit pressure, backlogs, ECMs
   return cfg;
@@ -178,9 +175,8 @@ struct Fingerprint {
   bool operator==(const Fingerprint&) const = default;
 };
 
-Fingerprint run_sharded(int threads, sim::SchedKind kind,
-                        bool trace = false) {
-  mpi::World world(sharded_world(4, threads, kind));
+Fingerprint run_sharded(int threads, bool trace = false) {
+  mpi::World world(sharded_world(4, threads));
   if (trace) {
     world.recorder().enable(1 << 16);
     for (std::size_t s = 0; s < 4; ++s) world.shard_recorder(s).enable(1 << 16);
@@ -202,21 +198,16 @@ Fingerprint run_sharded(int threads, sim::SchedKind kind,
 }
 
 TEST(ShardedWorld, BitIdenticalAcrossWorkerCounts) {
-  const Fingerprint t1 = run_sharded(1, sim::SchedKind::heap4);
+  const Fingerprint t1 = run_sharded(1);
   EXPECT_GT(t1.elapsed_ns, 0);
-  EXPECT_EQ(run_sharded(2, sim::SchedKind::heap4), t1);
-  EXPECT_EQ(run_sharded(4, sim::SchedKind::heap4), t1);
-  EXPECT_EQ(run_sharded(8, sim::SchedKind::heap4), t1);
-}
-
-TEST(ShardedWorld, SchedulerChoiceInvisibleToResults) {
-  EXPECT_EQ(run_sharded(2, sim::SchedKind::calendar),
-            run_sharded(2, sim::SchedKind::heap4));
+  EXPECT_EQ(run_sharded(2), t1);
+  EXPECT_EQ(run_sharded(4), t1);
+  EXPECT_EQ(run_sharded(8), t1);
 }
 
 TEST(ShardedWorld, TracedRunsAgreeAcrossWorkerCounts) {
-  const Fingerprint a = run_sharded(1, sim::SchedKind::heap4, /*trace=*/true);
-  const Fingerprint b = run_sharded(4, sim::SchedKind::heap4, /*trace=*/true);
+  const Fingerprint a = run_sharded(1, /*trace=*/true);
+  const Fingerprint b = run_sharded(4, /*trace=*/true);
   EXPECT_GT(a.trace_recorded, 0u);
   EXPECT_EQ(a, b);
 }

@@ -37,13 +37,6 @@ SPECS = {
         "metrics": [("mevents_per_s", "higher")],
         "meta": [("total_mevents_per_s", "higher")],
     },
-    "scheduler": {
-        "key": ("pending", "spike_percent", "far_percent"),
-        "metrics": [("heap4_ns_per_op", "lower"),
-                    ("calendar_ns_per_op", "lower"),
-                    ("wheel_ns_per_op", "lower")],
-        "meta": [],
-    },
     "parallel_world": {
         "key": ("engine_threads",),
         # Wall-clock scaling depends on the host's core count, which CI
@@ -71,17 +64,12 @@ SPECS = {
         # Connection-count scaling (DESIGN.md §17). Throughput per point is
         # tolerance-gated like any other rate; the O(active) verdicts are
         # exact: the marginal-events slope must be bit-identical across
-        # world sizes (idle connections schedule nothing), the 1024-rank
-        # hotspot rate must stay within 2x of 16 ranks, and the timer
-        # wheel's zombie accounting (dead_pops + timer_purges ==
-        # cancelled, never more front-of-queue reaps than the heap) is an
-        # invariant, not a measurement.
+        # world sizes (idle connections schedule nothing), and the
+        # 1024-rank hotspot rate must stay within 2x of 16 ranks.
         "key": ("shape", "ranks"),
         "metrics": [("mevents_per_s", "higher"), ("events", "exact")],
         "meta": [("o_active_slope_invariant", "exact"),
-                 ("hotspot_1024_vs_16_ratio_ok", "exact"),
-                 ("wheel_dead_pops_not_worse", "exact"),
-                 ("timer_accounting_ok", "exact")],
+                 ("hotspot_1024_vs_16_ratio_ok", "exact")],
     },
     "chaos_campaign": {
         # Per-cell points carry no stable identity fields (cell labels are

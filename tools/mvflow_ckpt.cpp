@@ -65,17 +65,11 @@ mpi::WorldConfig config_from_options(const util::Options& opt) {
   }
   cfg.device.auto_reconnect = opt.get_bool("reconnect", false);
   // Engine mode (DESIGN.md §14): --threads=N runs the sharded engine with
-  // N workers (0 = serial reference), --scheduler picks the pending-set
-  // structure. Both default to the MVFLOW_* env snapshots like everywhere
-  // else; neither changes results, only wall-clock.
+  // N workers (0 = serial reference). Defaults to the MVFLOW_ENGINE_THREADS
+  // snapshot like everywhere else; the worker count never changes results,
+  // only wall-clock.
   cfg.engine_threads =
       static_cast<int>(opt.get_int("threads", cfg.engine_threads));
-  if (const auto sched = opt.get("scheduler")) {
-    if (!sim::parse_sched_kind(*sched, cfg.scheduler)) {
-      throw std::runtime_error("unknown --scheduler=" + *sched +
-                               " (heap4|calendar)");
-    }
-  }
   return cfg;
 }
 
@@ -170,18 +164,12 @@ int cmd_restore(const util::Options& opt) {
   }
   mpi::ckpt::WorldSnapshot snap =
       mpi::ckpt::read_snapshot(opt.positional()[1]);
-  // Worker count and scheduler are wall-clock knobs, not simulation state,
-  // so a restore may override what the snapshot recorded: the audit still
-  // passes because neither influences the event order. A snapshot written
-  // by an 8-worker run restores bit-identically on a serial-only box.
+  // The worker count is a wall-clock knob, not simulation state, so a
+  // restore may override what the snapshot recorded: the audit still
+  // passes because it never influences the event order. A snapshot written
+  // by an 8-worker sharded run restores bit-identically at 1 worker.
   if (const auto th = opt.get("threads")) {
     snap.config.engine_threads = static_cast<int>(opt.get_int("threads", 0));
-  }
-  if (const auto sched = opt.get("scheduler")) {
-    if (!sim::parse_sched_kind(*sched, snap.config.scheduler)) {
-      throw std::runtime_error("unknown --scheduler=" + *sched +
-                               " (heap4|calendar)");
-    }
   }
   mpi::ckpt::RestoreOptions ro;
   parse_checkpoint_arg(opt, ro);
@@ -210,12 +198,11 @@ int cmd_inspect(const util::Options& opt) {
   }
   std::printf("  workload  %s\n", snap.workload.to_string().c_str());
   std::printf("  barrier   %" PRIu64 " executed events\n", snap.barrier);
-  std::printf("  engine    %s, scheduler=%s\n",
+  std::printf("  engine    %s\n",
               snap.config.engine_threads > 0
                   ? ("sharded x" +
                      std::to_string(snap.config.engine_threads)).c_str()
-                  : "serial",
-              std::string(sim::to_string(snap.config.scheduler)).c_str());
+                  : "serial");
   std::printf("  world     %d ranks, scheme=%s, prepost=%d%s%s\n",
               snap.config.num_ranks,
               std::string(flowctl::to_string(snap.config.flow.scheme)).c_str(),

@@ -16,7 +16,7 @@ import sys
 import zlib
 
 MAGIC = b"MVFLOWCK"
-VERSION = 2
+VERSION = 3
 HEADER = struct.Struct("<8sIIQI")  # magic, version, flags, payload, crc
 
 SECTION_NAMES = {
