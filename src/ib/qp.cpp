@@ -91,9 +91,8 @@ void QueuePair::post_send(const SendWr& wr) {
   }
   ps.data = std::move(data);
   if (auto& rec = obs::recorder(); rec.enabled()) {
-    ps.posted_at = hca_.engine().now();
-    rec.record(ps.posted_at, obs::Ev::msg_posted, hca_.node_id(), remote_node_,
-               qpn_, ps.msn, wr.length);
+    rec.record(hca_.engine().now(), obs::Ev::msg_posted, hca_.node_id(),
+               remote_node_, qpn_, ps.msn, wr.length);
   }
   if (obs::profiler().enabled()) ps.prof_posted = hca_.engine().now();
   pending_tx_.push_back(std::move(ps));
@@ -184,8 +183,6 @@ void QueuePair::transmit_message(PendingSend& ps) {
       rec.record(now, obs::Ev::retransmit, me, remote_node_, qpn_, ps.msn,
                  ps.data->length);
     } else {
-      ps.first_tx_at = now;
-      if (ps.posted_at.count() >= 0) rec.note_post_to_wire(now - ps.posted_at);
       rec.record(now, obs::Ev::msg_on_wire, me, remote_node_, qpn_, ps.msn,
                  ps.data->length);
       if (count > 1)
@@ -605,7 +602,6 @@ void QueuePair::retire_acked_() {
       const auto now = hca_.engine().now();
       rec.record(now, obs::Ev::msg_acked, hca_.node_id(), remote_node_, qpn_,
                  ps.msn, ps.data ? ps.data->length : 0);
-      if (ps.first_tx_at.count() >= 0) rec.note_wire_to_ack(now - ps.first_tx_at);
     }
     if (auto& prof = obs::profiler();
         prof.enabled() && ps.prof_first_tx.count() >= 0) {

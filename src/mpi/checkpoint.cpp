@@ -36,6 +36,10 @@ void encode_config(serial::BufWriter& w, const WorldConfig& cfg,
   w.i64(cfg.max_sim_time.count());
   w.b(trace_armed);
   w.u64(trace_capacity);
+  // Whether the profiler was armed (capture() folds $MVFLOW_PROF in): its
+  // "latency."/"prof." metrics are audited state, so the replay must
+  // profile too.
+  w.b(cfg.profile);
   // Engine mode travels with the snapshot: a sharded world's engine/trace
   // sections only audit cleanly against a sharded replay (any worker count)
   // and a serial one against serial, so the restore must come back up in
@@ -131,6 +135,7 @@ void decode_config(serial::BufReader& r, WorldConfig& cfg, bool& trace_armed,
   cfg.max_sim_time = sim::Duration(r.i64("max_sim_time"));
   trace_armed = r.b("trace_armed");
   trace_capacity = r.u64("trace_capacity");
+  cfg.profile = r.b("profile");
   cfg.engine_threads = r.i32("engine_threads");
 
   flowctl::Config& f = cfg.flow;
@@ -292,6 +297,7 @@ void audit(World& world, const WorldSnapshot& snap) {
 WorldSnapshot capture(World& world) {
   WorldSnapshot snap;
   snap.config = world.config();
+  snap.config.profile = world.prof_enabled();
   snap.trace_armed = world.recorder().enabled();
   snap.trace_capacity = world.recorder().capacity();
   util::require(world.workload().has_value(),
@@ -434,6 +440,7 @@ RunResult run_world(World& world, const WorkloadSpec& spec,
   out.aborted = world.aborted();
   out.metrics = world.metrics().snapshot();
   out.stats = world.collect_stats();
+  if (world.prof_enabled()) out.profile = world.prof_analysis();
   return out;
 }
 

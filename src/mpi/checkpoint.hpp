@@ -25,6 +25,7 @@
 #include "mpi/workload.hpp"
 #include "mpi/world.hpp"
 #include "obs/metrics.hpp"
+#include "obs/prof.hpp"
 #include "util/serial.hpp"
 
 namespace mvflow::mpi::ckpt {
@@ -43,7 +44,9 @@ inline constexpr std::uint32_t kSecTrace = 0x31435254;     // "TRC1"
 std::string section_name(std::uint32_t tag);
 
 struct WorldSnapshot {
-  WorldConfig config;         ///< Rebuild recipe (RunConfig not included).
+  /// Rebuild recipe (RunConfig not included; `profile` records whether
+  /// the profiler was armed by either switch).
+  WorldConfig config;
   bool trace_armed = false;   ///< Recorder enabled at capture time.
   std::uint64_t trace_capacity = 0;
   WorkloadSpec workload;      ///< Replayed by name at restore.
@@ -92,6 +95,7 @@ struct RunResult {
   sim::Duration elapsed{0};
   obs::Snapshot metrics;
   WorldStats stats;
+  obs::ProfileAnalysis profile;  ///< Empty unless the profiler was armed.
   bool aborted = false;
 };
 

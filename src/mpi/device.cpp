@@ -302,7 +302,6 @@ void Device::drain_backlog(Endpoint& ep) {
                  ep.flow.credits());
       rec.record(now, obs::Ev::backlog_dispatch, me_, ep.peer, ep.qp->qpn(),
                  ep.backlog.size(), ep.flow.credits());
-      rec.note_backlog_residency(now - entry.enqueued_at);
     }
     if (obs::profiler().enabled()) {
       const auto now = engine().now();
@@ -340,7 +339,6 @@ void Device::dispatch_famine_head(Endpoint& ep) {
     const auto now = engine().now();
     rec.record(now, obs::Ev::backlog_dispatch, me_, ep.peer, ep.qp->qpn(),
                ep.backlog.size(), ep.flow.credits());
-    rec.note_backlog_residency(now - entry.enqueued_at);
   }
   if (obs::profiler().enabled()) {
     const auto now = engine().now();

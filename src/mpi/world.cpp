@@ -124,14 +124,13 @@ World::World(WorldConfig cfg) : cfg_(cfg) {
   metrics_.add_source("msg_pool.", [this](const obs::MetricsRegistry::EmitFn& e) {
     fabric_->msg_pool_stats().visit(e);
   });
-  metrics_.add_source("latency.", [this](const obs::MetricsRegistry::EmitFn& e) {
-    merged_latency().visit(e);
-  });
   if (prof_enabled()) {
-    // Run-level blame (per segment, per connection direction, per link).
-    // Registered only when armed: each snapshot re-joins the record buffers,
-    // which is an end-of-run cost, not something a disarmed world pays.
-    metrics_.add_source("prof.", [this](const obs::MetricsRegistry::EmitFn& e) {
+    // Latency distributions ("latency.") and run-level blame ("prof.": per
+    // segment, per connection direction, per link) from one join of the
+    // profiler's records. Registered only when armed: each snapshot
+    // re-joins the record buffers, which is an end-of-run cost, not
+    // something a disarmed world pays.
+    metrics_.add_source("", [this](const obs::MetricsRegistry::EmitFn& e) {
       obs::emit_metrics(prof_analysis(), e);
     });
   }
@@ -200,12 +199,6 @@ void World::serialize_trace_state(util::serial::BufWriter& w) const {
 obs::FlightRecorder World::merged_trace() const {
   obs::FlightRecorder out = recorder_;
   for (const auto& rec : shard_recorders_) out.absorb(*rec);
-  return out;
-}
-
-obs::LatencyBreakdown World::merged_latency() const {
-  obs::LatencyBreakdown out = recorder_.latency();
-  for (const auto& rec : shard_recorders_) out.merge(rec->latency());
   return out;
 }
 

@@ -246,9 +246,6 @@ class World {
   /// absorbed in shard order (a plain copy of recorder() in serial worlds).
   /// What the trace/CSV exports and trace-reading tests should consume.
   obs::FlightRecorder merged_trace() const;
-  /// Latency accumulators summed over the world and shard recorders; the
-  /// "latency." metrics source emits this.
-  obs::LatencyBreakdown merged_latency() const;
 
   /// Causal profiler armed for this world (WorldConfig::profile or the run
   /// config's $MVFLOW_PROF snapshot).

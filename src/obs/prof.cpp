@@ -47,6 +47,33 @@ ConnKey conn_key(const ProfRecord& r) { return {r.src, r.dst, r.seq}; }
 
 std::int64_t ns(sim::TimePoint t) { return t.count(); }
 
+/// Summarise `samples` (reordered in place). Nearest-rank quantiles by
+/// selection, not a full sort: ranks ascend p50 <= p90 <= p99, so each
+/// selection only searches above the previous one.
+LatencySummary summarize(std::vector<std::int64_t>& samples) {
+  LatencySummary out;
+  if (samples.empty()) return out;
+  out.count = samples.size();
+  out.min_ns = samples.front();
+  out.max_ns = samples.front();
+  for (std::int64_t v : samples) {
+    out.sum_ns += v;
+    out.min_ns = std::min(out.min_ns, v);
+    out.max_ns = std::max(out.max_ns, v);
+  }
+  auto from = samples.begin();
+  for (auto [pct, dst] : {std::pair{50u, &out.p50_ns},
+                          std::pair{90u, &out.p90_ns},
+                          std::pair{99u, &out.p99_ns}}) {
+    const std::size_t rank = (pct * samples.size() + 99) / 100;  // ceil, >= 1
+    const auto it = samples.begin() + static_cast<std::ptrdiff_t>(rank - 1);
+    std::nth_element(from, it, samples.end());
+    *dst = *it;
+    from = it;
+  }
+  return out;
+}
+
 }  // namespace
 
 ProfileAnalysis analyze(const std::vector<ProfRecord>& records) {
@@ -54,24 +81,27 @@ ProfileAnalysis analyze(const std::vector<ProfRecord>& records) {
 
   // Index the three families. QP recovery can replay a wire message through
   // a fresh QP (same device tx id, same sequence number); emplace keeps the
-  // first record, which carries the original protocol history.
+  // first record, which carries the original protocol history. Each indexed
+  // QP lifecycle and backlogged send is also one latency sample, whether or
+  // not its message joins below; the summaries ignore sample order.
   std::map<ConnKey, const ProfRecord*> sends;
   std::map<ConnKey, const ProfRecord*> recvs;
   std::map<std::pair<std::int16_t, std::uint64_t>, const ProfRecord*> qps;
+  std::vector<std::int64_t> post_to_wire;
+  std::vector<std::int64_t> wire_to_ack;
+  std::vector<std::int64_t> backlog;
   for (const ProfRecord& r : records) {
     switch (r.family) {
       case ProfFamily::dev_send:
-        sends.emplace(conn_key(r), &r);
-        if ((r.flags & kProfBacklogged) != 0) {
-          out.raw_backlog_wait_ns += ns(r.t2) - ns(r.t0);
-          ++out.raw_backlog_count;
+        if (sends.emplace(conn_key(r), &r).second &&
+            (r.flags & kProfBacklogged) != 0) {
+          backlog.push_back(ns(r.t2) - ns(r.t0));
         }
         break;
       case ProfFamily::qp_send:
         if (qps.emplace(std::make_pair(r.src, r.aux), &r).second) {
-          out.raw_post_to_wire_ns += ns(r.t1) - ns(r.t0);
-          out.raw_wire_to_ack_ns += ns(r.t3) - ns(r.t1);
-          ++out.raw_qp_count;
+          post_to_wire.push_back(ns(r.t1) - ns(r.t0));
+          wire_to_ack.push_back(ns(r.t3) - ns(r.t1));
         }
         break;
       case ProfFamily::dev_recv:
@@ -79,6 +109,10 @@ ProfileAnalysis analyze(const std::vector<ProfRecord>& records) {
         break;
     }
   }
+
+  out.post_to_wire = summarize(post_to_wire);
+  out.wire_to_ack = summarize(wire_to_ack);
+  out.backlog_residency = summarize(backlog);
 
   // Join each dev_send with its QP lifecycle and its receiver-side record;
   // the map iteration order is the canonical (src, dst, seq) order.
@@ -210,19 +244,6 @@ ProfileAnalysis analyze(const std::vector<ProfRecord>& records) {
   return out;
 }
 
-bool audit_against(const ProfileAnalysis& a, const LatencyBreakdown& lat) {
-  if (!a.exact) return false;
-  const auto eq = [](std::int64_t x, double s) {
-    return static_cast<double>(x) == s;
-  };
-  return eq(a.raw_backlog_wait_ns, lat.backlog_residency.sum()) &&
-         a.raw_backlog_count == lat.backlog_residency.count() &&
-         eq(a.raw_post_to_wire_ns, lat.post_to_wire.sum()) &&
-         a.raw_qp_count == lat.post_to_wire.count() &&
-         eq(a.raw_wire_to_ack_ns, lat.wire_to_ack.sum()) &&
-         a.raw_qp_count == lat.wire_to_ack.count();
-}
-
 std::vector<FlowArrowEvent> flow_events(const ProfileAnalysis& a) {
   std::vector<FlowArrowEvent> out;
   out.reserve(a.messages.size() * 2);
@@ -348,7 +369,5 @@ Profiler* bind_profiler(Profiler* p) noexcept {
   detail::t_profiler = p;
   return prev;
 }
-
-bool profiler_is_fallback() noexcept { return detail::t_profiler == nullptr; }
 
 }  // namespace mvflow::obs

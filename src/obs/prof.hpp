@@ -20,6 +20,11 @@
 // message's protocol history, which the engines agree on bit for bit), which
 // is what makes the analysis bit-identical at every worker count.
 //
+// The same records are the only source of the per-message latency series
+// (`latency.*` metrics): post→wire and wire→ACK from every qp_send, and
+// backlog residency from every backlogged dev_send — exact integer-ns
+// distributions, summarised by analyze() below.
+//
 // Each completed message's end-to-end latency decomposes exactly into six
 // disjoint segments (differences of consecutive timeline checkpoints, so
 // Σ segments == e2e by construction):
@@ -48,7 +53,6 @@
 
 namespace mvflow::obs {
 
-struct LatencyBreakdown;
 struct FlowArrowEvent;
 
 enum class ProfFamily : std::uint8_t { dev_send, qp_send, dev_recv };
@@ -67,8 +71,8 @@ inline constexpr std::uint8_t kProfPayload = 1u << 4;     ///< credited kind (ea
 ///             [t0, t1]; grant_seq = inbound (dst→src) sequence of the grant
 ///             that released it; aux = device tx id (joins qp_send). For
 ///             backlogged sends t2 = the dispatch *decision* time (the
-///             recorder's backlog-residency endpoint; it can precede t1 by
-///             host-time charges on the famine-conversion path).
+///             backlog-residency endpoint; it can precede t1 by host-time
+///             charges on the famine-conversion path).
 ///   qp_send:  t0 = WQE posted, t1 = first tx, t2 = last tx, t3 = ACK
 ///             retired; aux = wr_id (the device tx id); n_retx retransmits.
 ///   dev_recv: t0 = arrival at handle_inbound, t1 = matched (== t0 for
@@ -195,6 +199,23 @@ struct CriticalStep {
   std::int64_t ns = 0;
 };
 
+/// Exact distribution of one latency series (integer ns). Quantiles are
+/// nearest-rank over the sorted samples; an empty series is all zeros.
+struct LatencySummary {
+  std::uint64_t count = 0;
+  std::int64_t sum_ns = 0;
+  std::int64_t min_ns = 0;
+  std::int64_t max_ns = 0;
+  std::int64_t p50_ns = 0;
+  std::int64_t p90_ns = 0;
+  std::int64_t p99_ns = 0;
+
+  double mean_ns() const noexcept {
+    return count == 0 ? 0.0
+                      : static_cast<double>(sum_ns) / static_cast<double>(count);
+  }
+};
+
 struct ProfileAnalysis {
   /// Fully-joined messages in canonical (src, dst, seq) order — the form
   /// whose byte-for-byte identity the serial-vs-sharded tests assert.
@@ -206,24 +227,16 @@ struct ProfileAnalysis {
   std::uint64_t incomplete = 0;  ///< dev_send records lacking a full chain
   bool exact = true;  ///< every message: Σ segments == e2e (invariant)
 
-  // Raw sums mirroring the LatencyBreakdown accumulators (same call sites,
-  // so equality with the recorder's totals is the cross-subsystem audit).
-  std::int64_t raw_backlog_wait_ns = 0;
-  std::uint64_t raw_backlog_count = 0;
-  std::int64_t raw_post_to_wire_ns = 0;
-  std::int64_t raw_wire_to_ack_ns = 0;
-  std::uint64_t raw_qp_count = 0;
+  // Per-message latency series, one sample per retired WQE (qp_send) or
+  // backlogged send (dev_send), whether or not the message fully joined.
+  LatencySummary post_to_wire;       ///< WQE post → first transmission
+  LatencySummary wire_to_ack;        ///< first transmission → ACK retired
+  LatencySummary backlog_residency;  ///< backlog enter → dispatch decision
 };
 
 /// Join the record multiset into per-message attributions. Pure function of
 /// the records: bit-identical input multisets give bit-identical analyses.
 ProfileAnalysis analyze(const std::vector<ProfRecord>& records);
-
-/// Cross-subsystem audit: the profiler's raw sums must equal the recorder's
-/// LatencyBreakdown accumulators (both subsystems instrument the same call
-/// sites), and every message must satisfy Σ segments == e2e. Requires both
-/// subsystems armed for the whole run and a drained (fully-ACKed) world.
-bool audit_against(const ProfileAnalysis& a, const LatencyBreakdown& lat);
 
 /// Chrome-trace flow arrows (ph:"s"/"f") for every joined message: the "s"
 /// endpoint on the sender's track at dispatch, the "f" endpoint on the
@@ -231,9 +244,11 @@ bool audit_against(const ProfileAnalysis& a, const LatencyBreakdown& lat);
 /// into FlightRecorder::export_chrome_trace.
 std::vector<FlowArrowEvent> flow_events(const ProfileAnalysis& a);
 
-/// Emit run-level blame through a MetricsRegistry source ("prof." prefix):
-/// totals, per-segment sums, per-connection and per-link (uplink/downlink)
-/// blame, and the exactness verdict.
+/// Emit the analysis through a MetricsRegistry source, fully qualified: the
+/// three latency series ("latency.<series>.{count,mean_ns,min_ns,max_ns,
+/// p50_ns,p90_ns,p99_ns}") and run-level blame ("prof." — totals,
+/// per-segment sums, per-connection and per-link (uplink/downlink) blame,
+/// and the exactness verdict).
 template <typename EmitFn>
 void emit_metrics(const ProfileAnalysis& a, const EmitFn& e);
 
@@ -269,9 +284,6 @@ inline Profiler& profiler() noexcept {
 /// (nullptr rebinds the disabled fallback). `p` must outlive the binding.
 Profiler* bind_profiler(Profiler* p) noexcept;
 
-/// True when the current thread's binding is the shared disabled fallback.
-bool profiler_is_fallback() noexcept;
-
 /// RAII binding for the current thread; restores the previous profiler on
 /// destruction.
 class ProfilerBinding {
@@ -289,6 +301,20 @@ class ProfilerBinding {
 
 template <typename EmitFn>
 void emit_metrics(const ProfileAnalysis& a, const EmitFn& e) {
+  const auto emit_latency = [&e](const std::string& base,
+                                 const LatencySummary& s) {
+    e(base + ".count", static_cast<double>(s.count));
+    e(base + ".mean_ns", s.mean_ns());
+    e(base + ".min_ns", static_cast<double>(s.min_ns));
+    e(base + ".max_ns", static_cast<double>(s.max_ns));
+    e(base + ".p50_ns", static_cast<double>(s.p50_ns));
+    e(base + ".p90_ns", static_cast<double>(s.p90_ns));
+    e(base + ".p99_ns", static_cast<double>(s.p99_ns));
+  };
+  emit_latency("latency.post_to_wire", a.post_to_wire);
+  emit_latency("latency.wire_to_ack", a.wire_to_ack);
+  emit_latency("latency.backlog_residency", a.backlog_residency);
+
   const auto emit_totals = [&e](const std::string& base,
                                 const SegmentTotals& t) {
     e(base + "messages", static_cast<double>(t.messages));
@@ -298,12 +324,12 @@ void emit_metrics(const ProfileAnalysis& a, const EmitFn& e) {
         static_cast<double>(t.seg[i]));
     }
   };
-  e("exact", a.exact ? 1.0 : 0.0);
-  e("incomplete", static_cast<double>(a.incomplete));
-  emit_totals("", a.payload);
-  emit_totals("control.", a.control);
+  e("prof.exact", a.exact ? 1.0 : 0.0);
+  e("prof.incomplete", static_cast<double>(a.incomplete));
+  emit_totals("prof.", a.payload);
+  emit_totals("prof.control.", a.control);
   for (const ConnectionBlame& c : a.connections) {
-    emit_totals("conn.r" + std::to_string(c.src) + "_r" +
+    emit_totals("prof.conn.r" + std::to_string(c.src) + "_r" +
                     std::to_string(c.dst) + ".",
                 c.totals);
   }
@@ -322,7 +348,7 @@ void emit_metrics(const ProfileAnalysis& a, const EmitFn& e) {
       for (const ConnectionBlame& o : a.connections) {
         if ((up ? o.src : o.dst) == node) ns += o.totals.e2e_ns;
       }
-      e(std::string("link.") + (up ? "up.r" : "down.r") +
+      e(std::string("prof.link.") + (up ? "up.r" : "down.r") +
             std::to_string(node) + ".e2e_ns",
         static_cast<double>(ns));
     }

@@ -58,7 +58,6 @@ void FlightRecorder::clear() noexcept {
   head_ = 0;
   recorded_ = 0;
   for (auto& c : kind_counts_) c = 0;
-  latency_ = LatencyBreakdown{};
 }
 
 void FlightRecorder::record(sim::TimePoint t, Ev kind, int rank, int peer,
@@ -76,24 +75,6 @@ void FlightRecorder::record(sim::TimePoint t, Ev kind, int rank, int peer,
   head_ = head_ + 1 == ring_.size() ? 0 : head_ + 1;
   ++recorded_;
   ++kind_counts_[static_cast<std::size_t>(kind)];
-}
-
-void FlightRecorder::note_post_to_wire(sim::Duration d) noexcept {
-  const double ns = static_cast<double>(d.count());
-  latency_.post_to_wire.add(ns);
-  latency_.post_to_wire_hist.add(ns);
-}
-
-void FlightRecorder::note_wire_to_ack(sim::Duration d) noexcept {
-  const double ns = static_cast<double>(d.count());
-  latency_.wire_to_ack.add(ns);
-  latency_.wire_to_ack_hist.add(ns);
-}
-
-void FlightRecorder::note_backlog_residency(sim::Duration d) noexcept {
-  const double ns = static_cast<double>(d.count());
-  latency_.backlog_residency.add(ns);
-  latency_.backlog_residency_hist.add(ns);
 }
 
 std::size_t FlightRecorder::size() const noexcept {
@@ -138,7 +119,6 @@ void FlightRecorder::absorb(const FlightRecorder& other) {
   for (std::size_t k = 0; k < kEvKinds; ++k) {
     kind_counts_[k] += other.kind_counts_[k];
   }
-  latency_.merge(other.latency_);
 }
 
 namespace {
@@ -340,11 +320,6 @@ FlightRecorder* bind_recorder(FlightRecorder* r) noexcept {
   return prev;
 }
 
-bool recorder_is_fallback() noexcept {
-  return detail::t_recorder == nullptr ||
-         detail::t_recorder == &detail::fallback_recorder();
-}
-
 void FlightRecorder::serialize_state(util::serial::BufWriter& w) const {
   w.b(enabled_);
   w.u64(ring_.size());  // capacity
@@ -362,22 +337,6 @@ void FlightRecorder::serialize_state(util::serial::BufWriter& w) const {
     w.i32(e.peer);
     w.u8(static_cast<std::uint8_t>(e.kind));
   }
-  const auto put_rs = [&w](const util::RunningStats& rs) {
-    rs.visit_raw([&w](double v) { w.f64(v); });
-  };
-  const auto put_hist = [&w](const util::Histogram& h) {
-    w.u64(h.total());
-    w.u64(h.underflow());
-    w.u64(h.overflow());
-    w.u64(h.bucket_count());
-    for (std::size_t i = 0; i < h.bucket_count(); ++i) w.u64(h.bucket(i));
-  };
-  put_rs(latency_.post_to_wire);
-  put_rs(latency_.wire_to_ack);
-  put_rs(latency_.backlog_residency);
-  put_hist(latency_.post_to_wire_hist);
-  put_hist(latency_.wire_to_ack_hist);
-  put_hist(latency_.backlog_residency_hist);
 }
 
 }  // namespace mvflow::obs

@@ -9,6 +9,11 @@
 // track per QP, viewable in Perfetto or chrome://tracing — plus a CSV
 // time-series of credit count and backlog depth per connection.
 //
+// The recorder keeps no latency statistics: per-message latency is the
+// causal profiler's (obs/prof.hpp), whose records yield the exact
+// `latency.*` distributions. The recorder holds what those records cannot
+// express — the per-event timeline, counter tracks and fault events.
+//
 // Overhead contract: the recorder is OFF by default and a disabled
 // recorder costs exactly one predictable branch at each instrumentation
 // site (`if (rec.enabled()) ...` around an out-of-line record()). Nothing
@@ -34,7 +39,6 @@
 #include <vector>
 
 #include "sim/time.hpp"
-#include "util/stats.hpp"
 
 namespace mvflow::util::serial {
 class BufWriter;
@@ -71,48 +75,6 @@ struct TraceEvent {
   Ev kind = Ev::msg_posted;
 };
 
-/// Per-message latency breakdown derived from the lifecycle events; fed by
-/// the instrumented layers only while the recorder is enabled.
-struct LatencyBreakdown {
-  util::RunningStats post_to_wire;       ///< WQE post → first byte on wire
-  util::RunningStats wire_to_ack;        ///< first transmission → retired
-  util::RunningStats backlog_residency;  ///< backlog enter → dispatch
-  util::Histogram post_to_wire_hist{0.0, 50'000.0, 50};        // ns
-  util::Histogram wire_to_ack_hist{0.0, 200'000.0, 50};        // ns
-  util::Histogram backlog_residency_hist{0.0, 2'000'000.0, 50};  // ns
-
-  /// Combine another breakdown (e.g. a shard recorder's) into this one.
-  void merge(const LatencyBreakdown& other) {
-    post_to_wire.merge(other.post_to_wire);
-    wire_to_ack.merge(other.wire_to_ack);
-    backlog_residency.merge(other.backlog_residency);
-    post_to_wire_hist.merge(other.post_to_wire_hist);
-    wire_to_ack_hist.merge(other.wire_to_ack_hist);
-    backlog_residency_hist.merge(other.backlog_residency_hist);
-  }
-
-  template <typename Fn>
-  void visit(Fn&& f) const {
-    emit_visit("post_to_wire", post_to_wire, post_to_wire_hist, f);
-    emit_visit("wire_to_ack", wire_to_ack, wire_to_ack_hist, f);
-    emit_visit("backlog_residency", backlog_residency, backlog_residency_hist, f);
-  }
-
- private:
-  template <typename Fn>
-  static void emit_visit(std::string_view name, const util::RunningStats& rs,
-                         const util::Histogram& h, Fn& f) {
-    const std::string base(name);
-    f(base + ".count", static_cast<double>(rs.count()));
-    f(base + ".mean_ns", rs.mean());
-    f(base + ".min_ns", rs.min());
-    f(base + ".max_ns", rs.max());
-    f(base + ".p50_ns", h.quantile(0.50));
-    f(base + ".p90_ns", h.quantile(0.90));
-    f(base + ".p99_ns", h.quantile(0.99));
-  }
-};
-
 /// One endpoint of a Chrome-trace flow arrow (ph:"s" start on the sender's
 /// track, ph:"f" finish on the receiver's). Produced by the causal profiler
 /// (obs/prof.hpp) and interleaved into export_chrome_trace by timestamp.
@@ -139,19 +101,13 @@ class FlightRecorder {
   void enable(std::size_t capacity = kDefaultCapacity);
   /// Stop recording; the captured events stay exportable.
   void disable() noexcept { enabled_ = false; }
-  /// Drop all captured events and latency stats (capacity retained).
+  /// Drop all captured events and counts (capacity retained).
   void clear() noexcept;
 
   /// Append one event (overwrites the oldest at capacity). Out-of-line on
   /// purpose: the enabled() branch at the call site is the hot-path cost.
   void record(sim::TimePoint t, Ev kind, int rank, int peer, std::uint32_t qpn,
               std::uint64_t a, std::int64_t b) noexcept;
-
-  // Latency feeds (call only when enabled()).
-  void note_post_to_wire(sim::Duration d) noexcept;
-  void note_wire_to_ack(sim::Duration d) noexcept;
-  void note_backlog_residency(sim::Duration d) noexcept;
-  const LatencyBreakdown& latency() const noexcept { return latency_; }
 
   std::size_t size() const noexcept;
   std::size_t capacity() const noexcept { return ring_.size(); }
@@ -170,8 +126,8 @@ class FlightRecorder {
   /// Fold another recorder into this one: retained events are interleaved
   /// by timestamp (stable — at equal times this recorder's events keep
   /// preceding the absorbed ones, so absorbing shard recorders in shard
-  /// order is deterministic), per-kind counts, totals, and latency
-  /// accumulators are summed. The ring grows to hold every retained event
+  /// order is deterministic), and per-kind counts and totals are
+  /// summed. The ring grows to hold every retained event
   /// of both sides; already-dropped events stay dropped. Sharded worlds use
   /// this to present one world-ordered trace from per-shard rings.
   void absorb(const FlightRecorder& other);
@@ -198,8 +154,7 @@ class FlightRecorder {
   bool export_credit_csv(const std::string& path) const;
 
   /// Serialize the recorder for the snapshot restore audit: configuration,
-  /// per-kind counts, the retained ring (oldest first), and the raw latency
-  /// accumulators (bit-exact, not the derived quantiles).
+  /// per-kind counts and the retained ring (oldest first).
   void serialize_state(util::serial::BufWriter& w) const;
 
  private:
@@ -208,7 +163,6 @@ class FlightRecorder {
   std::size_t head_ = 0;        ///< next write position
   std::uint64_t recorded_ = 0;  ///< total record() calls
   std::uint64_t kind_counts_[kEvKinds] = {};
-  LatencyBreakdown latency_;
 };
 
 namespace detail {
@@ -237,10 +191,6 @@ inline FlightRecorder& recorder() noexcept {
 /// (pass the returned pointer back to restore it; nullptr rebinds the
 /// disabled fallback). `r` must outlive the binding.
 FlightRecorder* bind_recorder(FlightRecorder* r) noexcept;
-
-/// True when the current thread's binding is the shared disabled fallback
-/// (i.e. no simulation has bound a recorder here).
-bool recorder_is_fallback() noexcept;
 
 /// RAII binding for the current thread; restores the previous recorder on
 /// destruction. Used by tests and by World on the thread that runs the

@@ -163,7 +163,10 @@ inline constexpr char kMagic[8] = {'M', 'V', 'F', 'L', 'O', 'W', 'C', 'K'};
 // v3: the config section dropped the scheduler byte (one pending set), and
 // the metrics section lost the two engine counters only the deleted
 // schedulers used.
-inline constexpr std::uint32_t kVersion = 3;
+// v4: the config section gained the profiler-armed flag, and the trace
+// section lost the recorder's latency accumulators (latency.* now derives
+// from the profiler's records).
+inline constexpr std::uint32_t kVersion = 4;
 inline constexpr std::size_t kHeaderBytes = 8 + 4 + 4 + 8 + 4;
 
 struct Section {

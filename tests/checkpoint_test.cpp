@@ -187,8 +187,9 @@ TEST_F(CheckpointCorruption, OutOfRangeSchemeRejected) {
   }
   ASSERT_NE(cfg, nullptr);
   // Config layout: num_ranks i32, on_demand b, max_sim_time i64,
-  // trace_armed b, trace_capacity u64, engine_threads i32, then the scheme.
-  constexpr std::size_t kSchemeOffset = 4 + 1 + 8 + 1 + 8 + 4;
+  // trace_armed b, trace_capacity u64, profile b, engine_threads i32, then
+  // the scheme.
+  constexpr std::size_t kSchemeOffset = 4 + 1 + 8 + 1 + 8 + 1 + 4;
   ASSERT_EQ(cfg->bytes.at(kSchemeOffset),
             static_cast<std::byte>(flowctl::Scheme::user_dynamic))
       << "config layout moved; update kSchemeOffset";
@@ -254,6 +255,25 @@ TEST(CheckpointDeterminism, RestoreWithTraceArmed) {
   const ckpt::RunResult resumed = ckpt::restore_run(snap);
   EXPECT_EQ(ref.elapsed.count(), resumed.elapsed.count());
   EXPECT_EQ(ref.metrics.to_json(), resumed.metrics.to_json());
+}
+
+// The same property with the causal profiler armed: its latency.* and
+// prof.* metrics are audited state, so the snapshot must record that the
+// profiler was on and the replay must profile too.
+TEST(CheckpointDeterminism, RestoreWithProfilerArmed) {
+  mpi::WorldConfig cfg = small_world();
+  cfg.profile = true;
+  const ckpt::RunResult ref = ckpt::run_reference(cfg, pingpong_spec());
+  ASSERT_TRUE(ref.metrics.has("latency.post_to_wire.count"));
+  ASSERT_FALSE(ref.profile.messages.empty());
+
+  const std::string path =
+      write_checkpoint(cfg, pingpong_spec(), 400, "profiled.ck");
+  const ckpt::WorldSnapshot snap = ckpt::read_snapshot(path);
+  EXPECT_TRUE(snap.config.profile);
+  const ckpt::RunResult resumed = ckpt::restore_run(snap);
+  expect_identical(ref, resumed);
+  EXPECT_EQ(resumed.profile.messages, ref.profile.messages);
 }
 
 // A chain of checkpoints: restore from k1 while writing k2, then restore

@@ -2,6 +2,7 @@
 // and flow-control schemes.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <numeric>
 #include <vector>
 
@@ -16,7 +17,12 @@ namespace {
 struct CollParam {
   int ranks;
   flowctl::Scheme scheme;
+  // gtest prints every byte of a parameter into the listed test name, so
+  // the padding is a named, zeroed member: unnamed padding would print
+  // stack residue and rename tests from run to run.
+  std::uint8_t pad[3] = {};
 };
+static_assert(sizeof(CollParam) == 8);
 
 std::string param_name(const ::testing::TestParamInfo<CollParam>& info) {
   return std::to_string(info.param.ranks) + "ranks_" +

@@ -7,6 +7,7 @@
 #include <cstring>
 #include <sstream>
 
+#include "exp/run_config.hpp"
 #include "mpi/communicator.hpp"
 #include "mpi/world.hpp"
 #include "nas/kernel.hpp"
@@ -15,6 +16,7 @@
 #include "obs/recorder.hpp"
 
 namespace obs = mvflow::obs;
+namespace exp = mvflow::exp;
 namespace mpi = mvflow::mpi;
 namespace nas = mvflow::nas;
 namespace sim = mvflow::sim;
@@ -144,21 +146,6 @@ TEST(FlightRecorder, DisabledRecorderRecordsNothing) {
   EXPECT_EQ(rec.recorded(), 1u);
 }
 
-TEST(FlightRecorder, LatencyBreakdownAccumulates) {
-  obs::FlightRecorder rec;
-  rec.enable(4);
-  rec.note_post_to_wire(sim::Duration(100));
-  rec.note_post_to_wire(sim::Duration(300));
-  rec.note_wire_to_ack(sim::Duration(5000));
-  rec.note_backlog_residency(sim::Duration(70000));
-  EXPECT_EQ(rec.latency().post_to_wire.count(), 2u);
-  EXPECT_EQ(rec.latency().post_to_wire.mean(), 200.0);
-  EXPECT_EQ(rec.latency().wire_to_ack.count(), 1u);
-  EXPECT_EQ(rec.latency().backlog_residency.count(), 1u);
-  rec.clear();
-  EXPECT_EQ(rec.latency().post_to_wire.count(), 0u);
-}
-
 TEST(FlightRecorder, CsvCarriesLastKnownValues) {
   obs::FlightRecorder rec;
   rec.enable(16);
@@ -231,8 +218,6 @@ TEST(ChromeTrace, PingPongProducesWellFormedTrace) {
   EXPECT_GT(rec.count(obs::Ev::msg_on_wire), 0u);
   EXPECT_GT(rec.count(obs::Ev::msg_delivered), 0u);
   EXPECT_GT(rec.count(obs::Ev::msg_acked), 0u);
-  EXPECT_GT(rec.latency().post_to_wire.count(), 0u);
-  EXPECT_GT(rec.latency().wire_to_ack.count(), 0u);
 }
 
 namespace {
@@ -327,12 +312,15 @@ TEST(CreditTimeSeries, BacklogEpisodesOnlyUnderSmallPools) {
 }
 
 TEST(WorldMetrics, SnapshotCoversEveryLayer) {
-  mpi::World world(two_rank_config(/*prepost=*/16));
-  world.run([](mpi::Communicator& comm) {
+  const auto one_message = [](mpi::Communicator& comm) {
     std::byte buf[64] = {};
     if (comm.rank() == 0) comm.send(buf, 1, 1);
     else comm.recv(buf, 0, 1);
-  });
+  };
+  mpi::WorldConfig cfg = two_rank_config(/*prepost=*/16);
+  cfg.run = exp::RunConfig{};  // no ambient $MVFLOW_PROF
+  mpi::World world(cfg);
+  world.run(one_message);
   const obs::Snapshot snap = world.metrics().snapshot();
   EXPECT_GT(snap.get("engine.executed"), 0.0);
   EXPECT_GT(snap.get("fabric.packets"), 0.0);
@@ -341,6 +329,17 @@ TEST(WorldMetrics, SnapshotCoversEveryLayer) {
   EXPECT_TRUE(snap.has("rank1.device.eager_sent"));
   EXPECT_TRUE(snap.has("rank0.peer1.flow.credited_sent"));
   EXPECT_TRUE(snap.has("rank0.peer1.qp.messages_sent"));
-  EXPECT_TRUE(snap.has("latency.post_to_wire.count"));
   EXPECT_GT(snap.sum_suffix(".flow.total_messages"), 0.0);
+
+  // latency.* derives from the profiler's records: absent while it is
+  // disarmed, one post_to_wire sample per QP message once it is armed.
+  EXPECT_FALSE(snap.has("latency.post_to_wire.count"));
+  cfg.profile = true;
+  mpi::World profiled(cfg);
+  profiled.run(one_message);
+  const obs::Snapshot psnap = profiled.metrics().snapshot();
+  ASSERT_TRUE(psnap.has("latency.post_to_wire.count"));
+  EXPECT_GT(psnap.get("latency.post_to_wire.count"), 0.0);
+  EXPECT_EQ(psnap.get("latency.post_to_wire.count"),
+            psnap.sum_suffix(".qp.messages_sent"));
 }

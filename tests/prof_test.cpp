@@ -1,12 +1,14 @@
 // Causal critical-path profiler tests (DESIGN.md §16): exactness of the
-// six-way latency split, the cross-subsystem audit against the flight
-// recorder, serial-vs-sharded bit-identity of the profile document, the
-// zero-record disarmed contract, the deterministic chain-id join key, and
-// the export surfaces (profile JSON, flow arrows, "prof." metrics).
+// six-way latency split, the exact latency.* series derived from the same
+// records (counts against protocol counters, quantiles against a
+// brute-force nearest rank), serial-vs-sharded bit-identity of the profile
+// document, the zero-record disarmed contract, the deterministic chain-id
+// join key, and the export surfaces (profile JSON, flow arrows, "prof." and
+// "latency." metrics).
 //
-// Also home to the shard-merge identity tests: the merged LatencyBreakdown
-// and the merged event ring from a sharded run must match a serial run of
-// the same workload exactly, for both paper workload shapes (Figure 2
+// Also home to the shard-merge identity tests: the latency.* metrics and
+// the merged event ring from a sharded run must match a serial run of the
+// same workload exactly, for both paper workload shapes (Figure 2
 // ping-pong, Figure 3 blocking bandwidth).
 #include <gtest/gtest.h>
 
@@ -79,7 +81,6 @@ obs::ProfileAnalysis starved_analysis(int engine_threads,
                                       std::unique_ptr<mpi::World>* out_world =
                                           nullptr) {
   auto world = std::make_unique<mpi::World>(prof_config(2, 2, engine_threads));
-  enable_all_recorders(*world);
   world->run(starved_flood);
   obs::ProfileAnalysis a = world->prof_analysis();
   if (out_world != nullptr) *out_world = std::move(world);
@@ -118,8 +119,6 @@ TEST(ProfAttribution, SegmentsSumExactlyToE2e) {
   EXPECT_GT(a.payload.seg[static_cast<int>(obs::Segment::credit_stall)] +
                 a.payload.seg[static_cast<int>(obs::Segment::ecm_rtt)],
             0);
-  // Cross-subsystem audit: raw sums equal the recorder's accumulators.
-  EXPECT_TRUE(obs::audit_against(a, world->merged_latency()));
 }
 
 TEST(ProfAttribution, CriticalPathAndConnectionsPopulated) {
@@ -181,6 +180,116 @@ TEST(ProfAttribution, DevRecvCarriesDeterministicChainId) {
   EXPECT_GE(checked, static_cast<std::size_t>(kFloodCount));
 }
 
+// ---------------------------------------------------------------- latency --
+
+namespace {
+
+/// Four blocking 1 MiB sends: every message takes the rendezvous path
+/// (RTS/CTS, RDMA write, FIN), so the QP series see long wire→ACK times.
+void rendezvous_stream(mpi::Communicator& comm) {
+  constexpr std::size_t kBytes = 1u << 20;
+  std::vector<std::byte> buf(kBytes);
+  for (int i = 0; i < 4; ++i) {
+    if (comm.rank() == 0) {
+      comm.send(std::span<const std::byte>(buf.data(), kBytes), 1, 0);
+    } else if (comm.rank() == 1) {
+      comm.recv(std::span<std::byte>(buf.data(), kBytes), 0, 0);
+    }
+  }
+}
+
+/// Brute-force nearest rank: the smallest sample with at least `pct`
+/// percent of the series at or below it.
+std::int64_t brute_nearest_rank(std::vector<std::int64_t> v, std::size_t pct) {
+  std::sort(v.begin(), v.end());
+  for (std::size_t k = 1; k <= v.size(); ++k) {
+    if (100 * k >= pct * v.size()) return v[k - 1];
+  }
+  return 0;
+}
+
+void expect_series(const obs::Snapshot& snap, const std::string& series,
+                   const std::vector<std::int64_t>& samples) {
+  const std::string base = "latency." + series;
+  ASSERT_FALSE(samples.empty()) << series;
+  const auto [lo, hi] = std::minmax_element(samples.begin(), samples.end());
+  std::int64_t sum = 0;
+  for (std::int64_t v : samples) sum += v;
+  EXPECT_EQ(snap.get(base + ".count"), static_cast<double>(samples.size()));
+  EXPECT_EQ(snap.get(base + ".mean_ns"),
+            static_cast<double>(sum) / static_cast<double>(samples.size()));
+  EXPECT_EQ(snap.get(base + ".min_ns"), static_cast<double>(*lo)) << series;
+  EXPECT_EQ(snap.get(base + ".max_ns"), static_cast<double>(*hi)) << series;
+  for (std::size_t pct : {50u, 90u, 99u}) {
+    const std::string name = base + ".p" + std::to_string(pct) + "_ns";
+    EXPECT_EQ(snap.get(name),
+              static_cast<double>(brute_nearest_rank(samples, pct)))
+        << name;
+  }
+  EXPECT_LE(snap.get(base + ".p99_ns"), snap.get(base + ".max_ns")) << series;
+}
+
+/// latency.* must be exact: counts equal the protocol counters (one
+/// post→wire and one wire→ACK sample per QP message, one residency sample
+/// per backlog dispatch), and every statistic equals a recomputation from
+/// the raw records.
+void expect_latency_exact(mpi::World& world) {
+  const obs::Snapshot snap = world.metrics().snapshot();
+  const mpi::WorldStats stats = world.collect_stats();
+  std::uint64_t qp_messages = 0;
+  for (const mpi::ConnectionReport& c : stats.connections) {
+    qp_messages += c.qp.messages_sent;
+  }
+  ASSERT_GT(qp_messages, 0u);
+  EXPECT_EQ(snap.get("latency.post_to_wire.count"),
+            static_cast<double>(qp_messages));
+  EXPECT_EQ(snap.get("latency.wire_to_ack.count"),
+            static_cast<double>(qp_messages));
+  EXPECT_EQ(snap.get("latency.backlog_residency.count"),
+            static_cast<double>(stats.flow_totals.backlog_dispatched));
+
+  std::vector<std::int64_t> post_to_wire;
+  std::vector<std::int64_t> wire_to_ack;
+  std::vector<std::int64_t> backlog;
+  const obs::Profiler merged = world.merged_prof();
+  for (const obs::ProfRecord& r : merged.records()) {
+    if (r.family == obs::ProfFamily::qp_send) {
+      post_to_wire.push_back(r.t1.count() - r.t0.count());
+      wire_to_ack.push_back(r.t3.count() - r.t1.count());
+    } else if (r.family == obs::ProfFamily::dev_send &&
+               (r.flags & obs::kProfBacklogged) != 0) {
+      backlog.push_back(r.t2.count() - r.t0.count());
+    }
+  }
+  expect_series(snap, "post_to_wire", post_to_wire);
+  expect_series(snap, "wire_to_ack", wire_to_ack);
+  if (stats.flow_totals.backlog_dispatched > 0) {
+    expect_series(snap, "backlog_residency", backlog);
+  } else {
+    EXPECT_TRUE(backlog.empty());
+    EXPECT_EQ(snap.get("latency.backlog_residency.max_ns", -1.0), 0.0);
+  }
+}
+
+}  // namespace
+
+TEST(ProfLatency, StarvedFloodExact) {
+  mpi::World world(prof_config(2, 2));
+  world.run(starved_flood);
+  ASSERT_GT(world.collect_stats().flow_totals.backlog_dispatched, 0u)
+      << "the flood must exercise the backlog series";
+  expect_latency_exact(world);
+}
+
+TEST(ProfLatency, RendezvousExact) {
+  mpi::WorldConfig cfg = prof_config(2, 100);
+  cfg.flow.scheme = flowctl::Scheme::user_dynamic;
+  mpi::World world(cfg);
+  world.run(rendezvous_stream);
+  ASSERT_EQ(world.device(0).stats().rndv_started, 4u);
+  expect_latency_exact(world);
+}
+
 // ----------------------------------------------------------------- exports --
 
 TEST(ProfExport, ProfileDocumentRoundTrips) {
@@ -236,8 +345,7 @@ TEST(ProfExport, MetricsRegistryExposesBlameAndQuantiles) {
   EXPECT_TRUE(snap.has("prof.conn.r0_r1.e2e_ns"));
   EXPECT_TRUE(snap.has("prof.link.up.r0.e2e_ns"));
   EXPECT_TRUE(snap.has("prof.link.down.r1.e2e_ns"));
-  // Histogram quantiles are derived gauges in the same snapshot (the
-  // recorder's latency source), p50/p90/p99 all present.
+  // The latency series come from the same source: p50/p90/p99 present.
   EXPECT_GT(snap.count_suffix(".p50_ns"), 0u);
   EXPECT_GT(snap.count_suffix(".p90_ns"), 0u);
   EXPECT_GT(snap.count_suffix(".p99_ns"), 0u);
@@ -271,29 +379,25 @@ std::vector<EventKey> canonical_events(const mpi::World& world) {
 }
 
 std::vector<std::pair<std::string, double>> latency_values(
-    const mpi::World& world) {
+    mpi::World& world) {
   std::vector<std::pair<std::string, double>> out;
-  world.merged_latency().visit([&out](std::string_view name, double v) {
-    out.emplace_back(std::string(name), v);
-  });
+  for (const auto& [name, v] : world.metrics().snapshot().values) {
+    if (name.starts_with("latency.")) out.emplace_back(name, v);
+  }
   return out;
 }
 
-/// Run `workload` serially and with one shard per rank, both recorders
-/// armed, and require the merged latency accumulators and the canonically
-/// sorted event multisets to match exactly (satellite of DESIGN.md §16:
-/// shard-merged observability equals serial observability).
+/// Run `workload` serially and sharded at 1, 2 and 4 workers, profiler and
+/// recorders armed, and require the latency.* metrics (means included:
+/// they divide integer sums) and the canonically sorted event multisets to
+/// match exactly (satellite of DESIGN.md §16: shard-merged observability
+/// equals serial observability).
 template <typename Fn>
 void expect_shard_merge_identical(int ranks, int prepost, Fn&& workload) {
   std::vector<EventKey> serial_events;
   std::vector<std::pair<std::string, double>> serial_latency;
-  for (int threads : {0, ranks}) {
-    mpi::WorldConfig cfg;
-    cfg.num_ranks = ranks;
-    cfg.flow.scheme = flowctl::Scheme::user_static;
-    cfg.flow.prepost = prepost;
-    cfg.engine_threads = threads;
-    cfg.run = exp::RunConfig{};
+  for (int threads : {0, 1, 2, 4}) {
+    mpi::WorldConfig cfg = prof_config(ranks, prepost, threads);
     mpi::World world(cfg);
     enable_all_recorders(world);
     world.run(workload);
@@ -301,27 +405,14 @@ void expect_shard_merge_identical(int ranks, int prepost, Fn&& workload) {
       serial_events = canonical_events(world);
       serial_latency = latency_values(world);
       ASSERT_FALSE(serial_events.empty());
+      ASSERT_EQ(serial_latency.size(), 21u);
       continue;
     }
     ASSERT_TRUE(world.is_sharded());
     EXPECT_EQ(canonical_events(world), serial_events)
         << "event multiset diverged at engine_threads=" << threads;
-    const auto sharded_latency = latency_values(world);
-    ASSERT_EQ(sharded_latency.size(), serial_latency.size());
-    for (std::size_t i = 0; i < serial_latency.size(); ++i) {
-      const auto& [name, serial_v] = serial_latency[i];
-      EXPECT_EQ(sharded_latency[i].first, name);
-      if (name.ends_with(".mean_ns")) {
-        // Means divide double sums whose addition order differs between a
-        // serial accumulator and per-shard partials merged afterwards;
-        // everything else (counts, min/max, bucket-derived quantiles) is
-        // exact, and the event-multiset check above already proved the
-        // underlying samples identical.
-        EXPECT_DOUBLE_EQ(sharded_latency[i].second, serial_v) << name;
-      } else {
-        EXPECT_EQ(sharded_latency[i].second, serial_v) << name;
-      }
-    }
+    EXPECT_EQ(latency_values(world), serial_latency)
+        << "latency.* diverged at engine_threads=" << threads;
   }
 }
 

@@ -48,17 +48,16 @@ SPECS = {
     "prof_attribution": {
         # Causal-profiler correctness verdicts (DESIGN.md §16). All are
         # exact: Σ segments == e2e is an invariant, serial-vs-sharded
-        # bit-identity must never drift, the LatencyBreakdown cross-audit
-        # is equality of integer sums, and the fig3 gap attribution is a
+        # bit-identity must never drift, and the fig3 gap attribution is a
         # deterministic function of the simulated runs. The per-point
         # segment totals are exact for the same reason — any change here
         # is a protocol/timing change, not noise.
         "key": ("prepost",),
         "metrics": [("exact", "exact"), ("identical", "exact"),
-                    ("audit_ok", "exact"), ("e2e_ns", "exact"),
+                    ("e2e_ns", "exact"),
                     ("credit_stall_ns", "exact"), ("ecm_rtt_ns", "exact")],
         "meta": [("exact", "exact"), ("identical", "exact"),
-                 ("audit_ok", "exact"), ("gap_attributed_ok", "exact")],
+                 ("gap_attributed_ok", "exact")],
     },
     "conn_scaling": {
         # Connection-count scaling (DESIGN.md §17). Throughput per point is
